@@ -1,9 +1,10 @@
 """Command-line front end: verdicts, sampling, verification, exploration.
 
 Exit codes of ``check`` encode the verdict (0 = JM, 1 = NotJM, 2 = Unknown)
-so shell pipelines can branch on them; malformed configs exit 64 and IO
-failures exit 66.  Every run is reproducible from (config, seed), and the
-effective config is echoed into each output sidecar.
+so shell pipelines can branch on them; malformed configs and inputs the
+library rejects exit 64, and IO failures exit 66.  Every run is reproducible
+from (config, seed), and the effective config is echoed into each output
+sidecar.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -33,6 +35,9 @@ EXIT_NOT_JM = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_IO = 66
+
+# most values one explore range, or one explore grid, may hold
+_MAX_GRID_POINTS = 10**6
 
 _VERDICT_EXIT = {
     mixability.JM: EXIT_JM,
@@ -251,21 +256,38 @@ def cmd_verify(args):
 
 def _parse_range(text):
     # "lo:hi" or "lo:hi:step" inclusive
-    parts = [float(p) for p in text.split(":")]
+    try:
+        parts = [float(p) for p in text.split(":")]
+    except ValueError as exc:
+        raise CliError(f"bad range {text!r}") from exc
     if len(parts) == 2:
         lo, hi, step = parts[0], parts[1], 1.0
     elif len(parts) == 3:
         lo, hi, step = parts
     else:
         raise CliError(f"bad range {text!r}")
+    if not all(math.isfinite(v) for v in parts):
+        raise CliError(f"range {text!r} must have finite ends and step")
+    if step <= 0:
+        raise CliError(f"range {text!r} needs a positive step")
     if hi < lo:
         return []
+    count = math.floor((hi - lo + 1e-12) / step) + 1
+    if count > _MAX_GRID_POINTS:
+        raise CliError(f"range {text!r} has more than {_MAX_GRID_POINTS} points")
     vals = []
     v = lo
-    while v <= hi + 1e-12:
+    # v += step leaves v unchanged once step is below half the float spacing
+    # near v; the count bound ends the loop there too
+    while v <= hi + 1e-12 and len(vals) <= count:
         vals.append(v)
         v += step
     return vals
+
+
+def _grid_size_check(*axes):
+    if math.prod(len(a) for a in axes) > _MAX_GRID_POINTS:
+        raise CliError(f"explore grid has more than {_MAX_GRID_POINTS} points")
 
 
 def cmd_explore(args):
@@ -274,6 +296,7 @@ def cmd_explore(args):
     if args.mode == "skew":
         ns = [int(v) for v in _parse_range(args.n_grid)]
         lams = _parse_range(args.lambda_grid)
+        _grid_size_check(ns, lams)
         header = ["n", "lambda", "bound", "fires"]
         for n in ns:
             for lam in lams:
@@ -284,6 +307,7 @@ def cmd_explore(args):
     elif args.mode == "bimodal":
         ms = [int(v) for v in _parse_range(args.m_grid)]
         ns = [int(v) for v in _parse_range(args.n_grid)]
+        _grid_size_check(ms, ns)
         header = ["m", "n", "max_cdf_value", "threshold", "fires"]
         for m in ms:
             for n in ns:
@@ -415,6 +439,11 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except ValueError as exc:
+        # inputs the library rejects (HypothesisViolation, FamilyError,
+        # GeneratorError, ...): a usage error, never a verdict code
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -12,9 +12,8 @@ import math
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate, interpolate, special, stats
 
-from .generators import CharacteristicGenerator, GeneratorError, mixing_law
+from .generators import CharacteristicGenerator, GeneratorError, mixing_law, special
 
 __all__ = [
     "UnivariateFamily",
@@ -34,6 +33,7 @@ __all__ = [
 ]
 
 _BISECT_TOL = 1e-10
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class FamilyError(ValueError):
@@ -42,6 +42,18 @@ class FamilyError(ValueError):
 
 def _as_array(x):
     return np.asarray(x, dtype=float)
+
+
+def _norm_pdf(z):
+    return np.exp(-z**2 / 2.0) / _SQRT_2PI
+
+
+def _cauchy_ppf(p):
+    """Standard Cauchy quantile -cot(pi p), from the nearer tail so that
+    both tails keep relative precision; tan(pi (p - 1/2)) near the median."""
+    d = p - 0.5
+    tail = np.where(p < 0.5, -1.0 / np.tan(np.pi * p), 1.0 / np.tan(np.pi * (1.0 - p)))
+    return np.where(np.abs(d) <= 0.25, np.tan(np.pi * d), tail)
 
 
 def _scalar_like(x, out):
@@ -181,12 +193,15 @@ class Elliptical(UnivariateFamily):
     def std_density(self, z):
         g = self.generator
         z = _as_array(z)
-        if g.kind == "normal":
-            return stats.norm.pdf(z)
+        if g.kind == "normal" or (g.kind == "student_t" and g.nu == math.inf):
+            return _norm_pdf(z)
         if g.kind == "student_t":
-            return stats.t.pdf(z, g.nu)
+            nu = g.nu
+            log_c = special.gammaln(0.5 * (nu + 1.0)) - special.gammaln(0.5 * nu)
+            log_c -= 0.5 * math.log(nu * math.pi)
+            return np.exp(log_c - 0.5 * (nu + 1.0) * np.log1p(z * z / nu))
         if g.kind == "cauchy":
-            return stats.cauchy.pdf(z)
+            return 1.0 / np.pi / (1.0 + z * z)
         if g.kind == "pearson_vii":
             N, m = g.shape, g.scale
             c = math.gamma(N) / (math.gamma(N - 0.5) * math.sqrt(m * math.pi))
@@ -194,7 +209,7 @@ class Elliptical(UnivariateFamily):
         if g.kind == "discrete_mixture":
             out = np.zeros_like(z, dtype=float)
             for w, s in g.atoms:
-                out += w * stats.norm.pdf(z, scale=s)
+                out += w * _norm_pdf(z / s) / s
             return out
         raise GeneratorError(g.kind)
 
@@ -202,11 +217,11 @@ class Elliptical(UnivariateFamily):
         g = self.generator
         z = _as_array(z)
         if g.kind == "normal":
-            return stats.norm.cdf(z)
+            return special.ndtr(z)
         if g.kind == "student_t":
-            return stats.t.cdf(z, g.nu)
+            return special.stdtr(g.nu, z)
         if g.kind == "cauchy":
-            return stats.cauchy.cdf(z)
+            return np.arctan2(1.0, -z) / np.pi
         if g.kind == "pearson_vii":
             N, m = g.shape, g.scale
             tail = 0.5 * special.betainc(N - 0.5, 0.5, m / (m + z * z))
@@ -214,7 +229,7 @@ class Elliptical(UnivariateFamily):
         if g.kind == "discrete_mixture":
             out = np.zeros_like(z, dtype=float)
             for w, s in g.atoms:
-                out += w * stats.norm.cdf(z, scale=s)
+                out += w * special.ndtr(z / s)
             return out
         raise GeneratorError(g.kind)
 
@@ -229,11 +244,11 @@ class Elliptical(UnivariateFamily):
     def _quantile_impl(self, p):
         g = self.generator
         if g.kind == "normal":
-            z = stats.norm.ppf(p)
+            z = special.ndtri(p)
         elif g.kind == "student_t":
-            z = stats.t.ppf(p, g.nu)
+            z = special.stdtrit(g.nu, p)
         elif g.kind == "cauchy":
-            z = stats.cauchy.ppf(p)
+            z = _cauchy_ppf(p)
         else:
             z = _bisect_quantile(self.std_cdf, p, (-np.inf, np.inf))
         return self.mu + self.sigma * z
@@ -489,6 +504,8 @@ class GeneralizedLogistic(UnivariateFamily):
     def _norm_const(self) -> float:
         if self.beta == 1.0:
             return 1.0 / special.beta(self.alpha, self.alpha)
+        from scipy import integrate
+
         half, _ = integrate.quad(
             lambda x: float(self._kernel(x)), 0.0, self._cut, epsabs=1e-12, limit=500
         )
@@ -502,6 +519,8 @@ class GeneralizedLogistic(UnivariateFamily):
     @cached_property
     def _table(self):
         # cumulative integral of the kernel on [0, cut]; reflected for x < 0
+        from scipy import integrate, interpolate
+
         xs = np.linspace(0.0, self._cut, 4097)
         ys = self._kernel(xs)
         cum = integrate.cumulative_simpson(ys, x=xs, initial=0.0)
@@ -611,24 +630,10 @@ class KotzType(UnivariateFamily):
 # Skew-normal and its scale mixtures
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
-
-
 def _sn_std_cdf(z, lam):
-    """CDF of SN(0,1,lam) by numeric integration of 2 phi(t) Phi(lam t) from 0.
-
-    A single 96-node Gauss-Legendre rule per point; the integrand is smooth
-    and |z| is clamped at 9 where both tails are below 1e-18.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    zc = np.clip(z, -9.0, 9.0)
-    # nodes scaled onto [0, zc] per element
-    half = 0.5 * zc
-    t = half[..., None] * (_GL_NODES + 1.0)  # shape (..., 96)
-    vals = 2.0 * stats.norm.pdf(t) * stats.norm.cdf(lam * t)
-    integral = half * np.sum(_GL_WEIGHTS * vals, axis=-1)
-    at_zero = 0.5 - math.atan(lam) / math.pi
-    return np.clip(at_zero + integral, 0.0, 1.0)
+    """CDF of SN(0,1,lam): Phi(z) - 2 T(z, lam) with Owen's T function."""
+    z = np.asarray(z, dtype=float)
+    return np.clip(special.ndtr(z) - 2.0 * special.owens_t(z, lam), 0.0, 1.0)
 
 
 class SkewNormal(UnivariateFamily):
@@ -655,7 +660,7 @@ class SkewNormal(UnivariateFamily):
 
     def density(self, x):
         z = (_as_array(x) - self.mu) / self.sigma
-        out = 2.0 / self.sigma * stats.norm.pdf(z) * stats.norm.cdf(self.lam * z)
+        out = 2.0 / self.sigma * _norm_pdf(z) * special.ndtr(self.lam * z)
         return _scalar_like(x, out)
 
     def cdf(self, x):

@@ -6,18 +6,24 @@ and ``W >= 0`` an independent mixing scale.  That representation is exactly
 the class valid in every dimension, so all couplings built on top of these
 generators work for arbitrary ``n``.
 
-Closed forms are used where they exist (normal, Cauchy, discrete mixtures);
-Student-t and Pearson VII evaluate ``psi`` by adaptive quadrature against the
-inverse-gamma mixing density.
+``psi`` has a closed form for every kind: exponentials for normal, Cauchy
+and discrete mixtures, and a modified Bessel function of the second kind for
+the inverse-gamma mixing laws of Student-t and Pearson VII.
+
+``special`` is the shared handle on ``scipy.special``.  It is loaded on first
+attribute access, so importing jointmix, and code paths that need no special
+function (the scale-inequality verdict, sampling, verification), do not pay
+for it.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, stats
 
 __all__ = [
     "CharacteristicGenerator",
@@ -28,8 +34,23 @@ __all__ = [
     "sample_mixing",
 ]
 
-_QUAD_ABS_TOL = 1e-10
-_QUAD_LIMIT = 10_000
+
+def _lazy_import(name: str):
+    """Module ``name``, executed on first attribute access
+    (the ``importlib.util.LazyLoader`` recipe); an imported module is
+    returned as is."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+special = _lazy_import("scipy.special")
 
 
 class GeneratorError(ValueError):
@@ -183,7 +204,10 @@ class MixingLaw:
         """Density of W (inverse-gamma kinds only)."""
         if self.kind != "inverse_gamma":
             raise GeneratorError("density available for inverse_gamma mixing only")
-        return stats.invgamma.pdf(w, self.a, scale=self.b)
+        z = np.asarray(w, dtype=float) / self.b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_pdf = -(self.a + 1.0) * np.log(z) - special.gammaln(self.a) - 1.0 / z
+        return np.where(z > 0, np.exp(log_pdf) / self.b, 0.0)[()]
 
 
 def mixing_law(g: CharacteristicGenerator) -> MixingLaw:
@@ -210,8 +234,9 @@ def cg_eval(g: CharacteristicGenerator, u: float) -> float:
     """Evaluate ``psi(u)`` for ``u >= 0``.
 
     Normal: exp(-u/2).  Cauchy: exp(-sqrt(u)).  Discrete mixtures: the
-    weighted sum of normal generators.  Student-t / Pearson VII: quadrature
-    of E[exp(-u W / 2)] against the inverse-gamma mixing density.
+    weighted sum of normal generators.  Student-t / Pearson VII:
+    E[exp(-u W / 2)] for W ~ InvGamma(a, b), which is
+    2 (x/2)^a K_a(x) / Gamma(a) with x = sqrt(2 b u).
     """
     u = float(u)
     if u < 0:
@@ -223,14 +248,33 @@ def cg_eval(g: CharacteristicGenerator, u: float) -> float:
     if g.kind == "discrete_mixture":
         return float(sum(w * math.exp(-u * s * s / 2.0) for w, s in g.atoms))
     law = mixing_law(g)
+    return _inverse_gamma_laplace(law.a, law.b, u)
 
-    def integrand(w):
-        return math.exp(-u * w / 2.0) * stats.invgamma.pdf(w, law.a, scale=law.b)
 
-    val, _err = integrate.quad(
-        integrand, 0.0, np.inf, epsabs=_QUAD_ABS_TOL, limit=_QUAD_LIMIT
-    )
-    return float(val)
+def _inverse_gamma_laplace(a: float, b: float, u: float) -> float:
+    """E[exp(-u W / 2)] for W ~ InvGamma(a, b), evaluated in log space with
+    the exponentially scaled K_a so that no factor overflows or underflows."""
+    if u == 0.0:
+        return 1.0
+    if u == math.inf:
+        return 0.0
+    x = math.sqrt(2.0 * b * u)
+    k_scaled = float(special.kve(a, x))  # K_a(x) e^x
+    if math.isfinite(k_scaled):
+        log_psi = math.log(2.0 * k_scaled) + a * math.log(0.5 * x) - x - special.gammaln(a)
+        return math.exp(log_psi)
+    # K_a(x) overflows only where x * x is negligible against a (large a,
+    # tiny x).  There the small-argument series
+    # sum_k Gamma(a - k) / (Gamma(a) k!) (-x^2/4)^k converges to machine
+    # precision within a few terms.
+    c = -0.25 * x * x
+    total = term = 1.0
+    k = 1
+    while k < a and abs(term) > 1e-17 * total:
+        term *= c / (k * (a - k))
+        total += term
+        k += 1
+    return total
 
 
 def sample_mixing(g: CharacteristicGenerator, count: int, seed: int) -> np.ndarray:

@@ -56,17 +56,28 @@ class QuantileGrid:
 
 def discretize(families, m: int) -> QuantileGrid:
     """Midpoint-quantile grid: probabilities (k - 1/2)/m avoid the infinite
-    endpoint quantiles of unbounded supports."""
+    endpoint quantiles of unbounded supports.
+
+    Each distinct family is evaluated once: columns are keyed by ``spec()``,
+    or by identity for a family without one.
+    """
     if m < 2:
         raise ValueError("m must be at least 2")
     probs = (np.arange(m) + 0.5) / m
-    cols = []
+    by_key = {}
+    keys = []
     for fam in families:
-        q = np.asarray(fam.quantile(probs), dtype=float)
-        if not np.all(np.isfinite(q)):
-            raise ValueError("infinite quantile at a midpoint probability")
-        cols.append(q)
-    return QuantileGrid(np.column_stack(cols))
+        try:
+            key = json.dumps(fam.spec(), sort_keys=True)
+        except NotImplementedError:
+            key = id(fam)
+        if key not in by_key:
+            q = np.asarray(fam.quantile(probs), dtype=float)
+            if not np.all(np.isfinite(q)):
+                raise ValueError("infinite quantile at a midpoint probability")
+            by_key[key] = q
+        keys.append(key)
+    return QuantileGrid(np.column_stack([by_key[k] for k in keys]))
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -219,3 +220,59 @@ def test_check_output_identical_across_runs(capsys):
     _, out1, _ = run(capsys, "check", "--family", "student_t:3", "--sigmas", "2,1.5,1")
     _, out2, _ = run(capsys, "check", "--family", "student_t:3", "--sigmas", "2,1.5,1")
     assert out1 == out2
+
+
+# --- input errors exit with the usage code, never a verdict code ------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--example", "2.1", "--copies", "2"],
+        ["oracle", "--example", "2.3", "--m", "1"],
+        ["sample", "--coupling", "slash", "--sigmas", "1,1,1", "--q", "0", "-o", "{tmp}/x.csv"],
+        ["explore", "--n-grid", "1:1"],
+    ],
+    ids=["check_even_copies", "oracle_m1", "sample_slash_q0", "explore_n1"],
+)
+def test_library_value_error_exits_usage(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *[a.replace("{tmp}", str(tmp_path)) for a in argv])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "grid",
+    ["0:1:0", "0:1:-1", "0:inf", "nan:1", "0:1:nan", "0:1e7", "0:1:1e-7", "a:b"],
+    ids=["step0", "step_negative", "inf_end", "nan_end", "nan_step", "too_many",
+         "too_fine", "unparsable"],
+)
+def test_explore_rejects_bad_range(capsys, grid):
+    code, out, err = run(capsys, "explore", "--n-grid", "2:2", "--lambda-grid", grid)
+    assert code == EXIT_USAGE
+    assert out == "" and err
+
+
+def test_explore_rejects_grid_product_above_cap(capsys):
+    code, out, err = run(capsys, "explore", "--n-grid", "2:2001", "--lambda-grid", "0:999")
+    assert code == EXIT_USAGE
+    assert out == "" and "grid" in err
+
+
+def test_parse_range_keeps_accumulated_values():
+    from jointmix.cli import _parse_range
+
+    expected, v = [], 0.0
+    while v <= 1.0 + 1e-12:
+        expected.append(v)
+        v += 0.1
+    assert _parse_range("0:1:0.1") == expected
+    assert _parse_range("3:1") == []
+
+
+def test_parse_range_ends_when_step_is_below_float_spacing():
+    from jointmix.cli import _parse_range
+
+    vals = _parse_range("1e20:1.0000000000001e20:1e3")
+    assert len(vals) <= math.floor((1.0000000000001e20 - 1e20) / 1e3) + 2

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from jointmix.couplings import sample_jm_elliptical
-from jointmix.families import BimodalPower, Elliptical, Uniform
+from jointmix.families import BimodalPower, Elliptical, SkewNormal, Uniform, UnivariateFamily
 from jointmix.generators import CharacteristicGenerator
 from jointmix.oracle import (
     QuantileGrid,
@@ -31,6 +31,49 @@ def test_discretize_bimodal_power_closed_form():
     root = 0.5 ** (1.0 / 3.0)
     assert np.allclose(grid.values[:, 0], [-root, root], atol=1e-10)
     assert root == pytest.approx(0.7937, abs=1e-4)
+
+
+class _CountingSkewNormal(SkewNormal):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.quantile_calls = 0
+
+    def quantile(self, p):
+        self.quantile_calls += 1
+        return super().quantile(p)
+
+
+class _SpecLess(UnivariateFamily):
+    """Uniform(0, 1) quantiles without a ``spec()``."""
+
+    def __init__(self):
+        self.quantile_calls = 0
+
+    def quantile(self, p):
+        self.quantile_calls += 1
+        return np.asarray(p, dtype=float)
+
+
+def test_discretize_computes_identical_columns_once():
+    fam = _CountingSkewNormal(0.0, 1.0, 5.0)
+    grid = discretize([fam] * 3, 200)
+    assert fam.quantile_calls == 1
+    # equal specs share a column too
+    twin = _CountingSkewNormal(0.0, 1.0, 5.0)
+    other = _CountingSkewNormal(0.0, 1.0, 4.0)
+    discretize([twin, SkewNormal(0.0, 1.0, 5.0), other, twin], 50)
+    assert (twin.quantile_calls, other.quantile_calls) == (1, 1)
+    # bit for bit the grid of separately computed columns
+    probs = (np.arange(200) + 0.5) / 200
+    separate = np.column_stack([SkewNormal(0.0, 1.0, 5.0).quantile(probs) for _ in range(3)])
+    assert np.array_equal(grid.values, separate)
+
+
+def test_discretize_without_spec_keys_by_identity():
+    a, b = _SpecLess(), _SpecLess()
+    grid = discretize([a, b, a], 4)
+    assert (a.quantile_calls, b.quantile_calls) == (1, 1)
+    assert np.array_equal(grid.values[:, 0], [0.125, 0.375, 0.625, 0.875])
 
 
 def test_discretize_normal_quartiles():
