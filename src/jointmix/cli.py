@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -185,7 +186,7 @@ def cmd_sample(args):
             mbatch = couplings.sample_matrix_variate_cm(
                 p, sigma_p, g, int(cfg.get("n", args.n)), count, seed
             )
-            _write_matrix_csv(out, mbatch)
+            mbatch.write_csv(out)
             sidecar = {
                 "seed": seed,
                 "coupling": "matrix",
@@ -217,17 +218,6 @@ def _echo_config(args, cfg):
     return echo
 
 
-def _write_matrix_csv(path, mbatch):
-    count, p, n = mbatch.data.shape
-    header = [f"X{j + 1}_{i + 1}" for j in range(n) for i in range(p)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["draw"] + header)
-        for k in range(count):
-            flat = mbatch.data[k].T.reshape(-1)
-            writer.writerow([str(k)] + ["%.17g" % v for v in flat])
-
-
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -235,17 +225,22 @@ def _write_matrix_csv(path, mbatch):
 def cmd_verify(args):
     try:
         with open(args.input, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
+            header = next(csv.reader(fh), [])
             cols = [i for i, name in enumerate(header) if name.startswith("X")]
-            rows = [[float(r[i]) for i in cols] for r in reader]
-    except (OSError, StopIteration, ValueError, IndexError) as exc:
+            if not cols:
+                raise CliError(f"no X column in the header of {args.input}", EXIT_IO)
+            with warnings.catch_warnings():
+                # loadtxt warns on a body without rows, which is rejected below
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2,
+                                  comments=None, quotechar='"')
+    except (OSError, ValueError, csv.Error) as exc:
         print(f"cannot read CSV: {exc}", file=sys.stderr)
         return EXIT_IO
-    if not rows:
+    if not rows.shape[0]:
         print("empty CSV", file=sys.stderr)
         return EXIT_IO
-    report = oracle.verify_constant_sum(np.asarray(rows), args.center, args.rel_tol)
+    report = oracle.verify_constant_sum(rows, args.center, args.rel_tol)
     print(report.to_json())
     return 0 if report.passed else 1
 

@@ -11,7 +11,6 @@ sample and applied to every component.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -39,6 +38,8 @@ __all__ = [
 ]
 
 _FLOAT_FMT = "%.17g"
+_CSV_EOL = "\r\n"  # csv.writer's line terminator
+_CSV_BLOCK_ROWS = 4096  # rows formatted by one % operation
 
 
 class PolygonInequalityError(ValueError):
@@ -175,17 +176,15 @@ class SampleBatch:
         return self.data.sum(axis=1)
 
     def write_csv(self, path, include_sum: bool = False) -> None:
+        """Write the draws as CSV: header ``X1..Xn``, one ``%.17g`` cell per
+        value, lines ended by ``\\r\\n``.  ``include_sum`` appends an ``S``
+        column holding each row's sum, as ``row.sum()`` computes it."""
+        data = np.ascontiguousarray(self.data)
         header = [f"X{i + 1}" for i in range(self.n)]
         if include_sum:
             header.append("S")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in self.data:
-                cells = [_FLOAT_FMT % v for v in row]
-                if include_sum:
-                    cells.append(_FLOAT_FMT % row.sum())
-                writer.writerow(cells)
+            data = np.column_stack([data, data.sum(axis=1)])
+        _write_csv(path, header, data)
 
     def sidecar(self) -> dict:
         return {
@@ -215,14 +214,36 @@ class MatrixSampleBatch:
     def column_sum_norms(self) -> np.ndarray:
         return np.linalg.norm(self.data.sum(axis=2), axis=1)
 
+    def write_csv(self, path) -> None:
+        """Write one draw per line: its index in a ``draw`` column, then the
+        entries column by column (``X<j>_<i>`` is entry i of vector j)."""
+        count, p, n = self.data.shape
+        header = ["draw"] + [f"X{j + 1}_{i + 1}" for j in range(n) for i in range(p)]
+        flat = self.data.transpose(0, 2, 1).reshape(count, n * p)
+        table = np.column_stack([np.arange(count, dtype=float), flat])
+        _write_csv(path, header, table, ["%d"] + [_FLOAT_FMT] * (n * p))
+
+
+def _write_csv(path, header, table, cell_fmts=None) -> None:
+    """Write ``header`` and the rows of the 2-D array ``table`` as CSV, cells
+    formatted by ``cell_fmts`` (``%.17g`` each by default).
+
+    The bytes are those ``csv.writer`` gives for the formatted strings, which
+    never need quoting; each block of rows is formatted by one ``%``.
+    """
+    if cell_fmts is None:
+        cell_fmts = [_FLOAT_FMT] * table.shape[1]
+    rowfmt = ",".join(cell_fmts) + _CSV_EOL
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + _CSV_EOL)
+        for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+            block = table[start:start + _CSV_BLOCK_ROWS]
+            fh.write((rowfmt * len(block)) % tuple(block.ravel().tolist()))
+
 
 # ---------------------------------------------------------------------------
 # Samplers
 # ---------------------------------------------------------------------------
-
-def _chunk_normals(rng, shape):
-    return rng.standard_normal(shape)
-
 
 def sample_jm_elliptical(mus, sigmas, g: CharacteristicGenerator, count: int, seed: int) -> SampleBatch:
     """Joint elliptical draws with row sums identically sum(mu).
@@ -238,7 +259,7 @@ def sample_jm_elliptical(mus, sigmas, g: CharacteristicGenerator, count: int, se
     L = sig[:, None] * vs  # (n, 2)
     rng = np.random.default_rng(seed)
     w = mixing_law(g).sample_with(rng, count)
-    z = _chunk_normals(rng, (count, 2))
+    z = rng.standard_normal((count, 2))
     data = mus[None, :] + np.sqrt(w)[:, None] * (z @ L.T)
     return SampleBatch(
         data=data,
@@ -262,7 +283,7 @@ def sample_jm_slash(mus, sigmas, g: CharacteristicGenerator, q: float, count: in
     L = sig[:, None] * vs
     rng = np.random.default_rng(seed)
     w = mixing_law(g).sample_with(rng, count)
-    z = _chunk_normals(rng, (count, 2))
+    z = rng.standard_normal((count, 2))
     u = rng.uniform(size=count)
     centered = np.sqrt(w)[:, None] * (z @ L.T)
     data = mus[None, :] + centered / (u ** (1.0 / q))[:, None]
@@ -313,7 +334,7 @@ def sample_cm_scale_mixture(
     if isinstance(base, Elliptical):
         vs = polygon_unit_vectors(np.ones(n))
         w = mixing_law(base.generator).sample_with(rng, count)
-        z = _chunk_normals(rng, (count, 2))
+        z = rng.standard_normal((count, 2))
         unit = z @ vs.T  # (count, n), sums to 0 per row
         data = center + (theta * np.sqrt(w) * base.sigma)[:, None] * unit
         meta["exact"] = True
@@ -355,7 +376,7 @@ def sample_matrix_variate_cm(
     B = plan.factor()  # (n, n)
     rng = np.random.default_rng(seed)
     w = mixing_law(g).sample_with(rng, count)
-    gmat = _chunk_normals(rng, (count, p, n))
+    gmat = rng.standard_normal((count, p, n))
     data = np.sqrt(w)[:, None, None] * np.einsum("ij,kjl,ml->kim", A, gmat, B)
     return MatrixSampleBatch(
         data=data,

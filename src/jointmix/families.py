@@ -204,8 +204,8 @@ class Elliptical(UnivariateFamily):
             return 1.0 / np.pi / (1.0 + z * z)
         if g.kind == "pearson_vii":
             N, m = g.shape, g.scale
-            c = math.gamma(N) / (math.gamma(N - 0.5) * math.sqrt(m * math.pi))
-            return c * (1.0 + z * z / m) ** (-N)
+            log_c = special.gammaln(N) - special.gammaln(N - 0.5) - 0.5 * math.log(m * math.pi)
+            return np.exp(log_c - N * np.log1p(z * z / m))
         if g.kind == "discrete_mixture":
             out = np.zeros_like(z, dtype=float)
             for w, s in g.atoms:

@@ -213,13 +213,15 @@ class MixingLaw:
 def mixing_law(g: CharacteristicGenerator) -> MixingLaw:
     """Mixing law of ``g``'s normal variance mixture representation.
 
-    Student-t with nu degrees of freedom mixes over InvGamma(nu/2, nu/2);
-    Cauchy is the nu = 1 case; Pearson VII with exponent N and scale m mixes
-    over InvGamma(N - 1/2, m/2).
+    Student-t with nu degrees of freedom mixes over InvGamma(nu/2, nu/2), and
+    with nu = inf it is the normal law, W == 1; Cauchy is the nu = 1 case;
+    Pearson VII with exponent N and scale m mixes over InvGamma(N - 1/2, m/2).
     """
     if g.kind == "normal":
         return MixingLaw("degenerate")
     if g.kind == "student_t":
+        if g.nu == math.inf:
+            return MixingLaw("degenerate")
         return MixingLaw("inverse_gamma", a=g.nu / 2.0, b=g.nu / 2.0)
     if g.kind == "cauchy":
         return MixingLaw("inverse_gamma", a=0.5, b=0.5)
@@ -233,7 +235,7 @@ def mixing_law(g: CharacteristicGenerator) -> MixingLaw:
 def cg_eval(g: CharacteristicGenerator, u: float) -> float:
     """Evaluate ``psi(u)`` for ``u >= 0``.
 
-    Normal: exp(-u/2).  Cauchy: exp(-sqrt(u)).  Discrete mixtures: the
+    Normal and Student-t with nu = inf: exp(-u/2).  Cauchy: exp(-sqrt(u)).  Discrete mixtures: the
     weighted sum of normal generators.  Student-t / Pearson VII:
     E[exp(-u W / 2)] for W ~ InvGamma(a, b), which is
     2 (x/2)^a K_a(x) / Gamma(a) with x = sqrt(2 b u).
@@ -241,13 +243,13 @@ def cg_eval(g: CharacteristicGenerator, u: float) -> float:
     u = float(u)
     if u < 0:
         raise GeneratorError("cg_eval requires u >= 0")
-    if g.kind == "normal":
-        return math.exp(-u / 2.0)
     if g.kind == "cauchy":
         return math.exp(-math.sqrt(u))
     if g.kind == "discrete_mixture":
         return float(sum(w * math.exp(-u * s * s / 2.0) for w, s in g.atoms))
     law = mixing_law(g)
+    if law.kind == "degenerate":
+        return math.exp(-u / 2.0)
     return _inverse_gamma_laplace(law.a, law.b, u)
 
 

@@ -265,7 +265,7 @@ def verify_constant_sum(batch, C: float, rel_tol: float) -> ConstantSumReport:
     exp(i t C) on a small t grid as a moment-free cross-check.
     """
     data = np.asarray(getattr(batch, "data", batch), dtype=float)
-    if data.ndim != 2 or data.shape[0] == 0:
+    if data.ndim != 2 or 0 in data.shape:
         raise ValueError("batch must be a nonempty N x n matrix")
     sums = data.sum(axis=1)
     scale = float(np.mean(np.abs(data)))

@@ -140,6 +140,19 @@ def test_sample_scale_mixture(tmp_path, capsys):
     assert np.max(np.abs(rows.sum(axis=1) - 3.0)) <= 1e-10
 
 
+def test_sample_student_t_infinite_nu_writes_normal_rows(tmp_path, capsys):
+    written = {}
+    for gen in ("student_t:inf", "normal"):
+        out = tmp_path / f"{gen.replace(':', '_')}.csv"
+        code, _, _ = run(capsys, "sample", "--generator", gen, "--sigmas", "1,1,1",
+                         "-N", "200", "--seed", "3", "-o", str(out))
+        assert code == 0
+        written[gen] = out.read_bytes()
+    assert written["student_t:inf"] == written["normal"]
+    rows = np.loadtxt(tmp_path / "normal.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(rows))
+
+
 def test_verify_missing_file(capsys):
     code, _, err = run(capsys, "verify", "-i", "/nonexistent.csv", "-C", "0")
     assert code == EXIT_IO

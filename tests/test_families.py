@@ -269,3 +269,17 @@ def test_invalid_inputs():
         Uniform(0, 1).quantile(1.5)
     with pytest.raises(FamilyError):
         LocationScaleSymmetric(SkewNormal(0, 1, 2.0), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("shape", [200.0, 1e4])
+def test_pearson_vii_density_large_shape_is_scaled_student_t(shape):
+    # Pearson VII(N, m) is Student t with nu = 2N - 1, scaled by sqrt(m / nu)
+    m = 1.5
+    nu = 2.0 * shape - 1.0
+    k = math.sqrt(nu / m)
+    z = np.linspace(-8.0, 8.0, 321) / k
+    pvii = Elliptical(0.0, 1.0, CharacteristicGenerator.pearson_vii(shape, m)).density(z)
+    t = Elliptical(0.0, 1.0, CharacteristicGenerator.student_t(nu)).density(z * k) * k
+    np.testing.assert_allclose(pvii, t, rtol=1e-12, atol=0)
+    slash = SlashElliptical(0.0, 1.0, CharacteristicGenerator.pearson_vii(shape, m), 2.0)
+    assert np.all(np.isfinite(slash.density(z)))

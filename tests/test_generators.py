@@ -119,3 +119,11 @@ def test_mixture_psi_monotone_property(raw_atoms, u):
     atoms = [(w / total, s) for w, s in raw_atoms]
     g = CharacteristicGenerator.discrete_mixture(atoms)
     assert cg_eval(g, u) >= cg_eval(g, u + 0.5) - 1e-12
+
+
+def test_student_t_infinite_nu_is_normal():
+    g = CharacteristicGenerator.student_t(math.inf)
+    assert mixing_law(g).kind == "degenerate"
+    assert np.array_equal(sample_mixing(g, 3, 1), np.ones(3))
+    for u in [0.0, 1e-8, 0.5, 2.0, 50.0, math.inf]:
+        assert cg_eval(g, u) == math.exp(-u / 2.0)

@@ -93,6 +93,14 @@ CASES = {
         [["sample", "--coupling", "matrix", "--generator", "cauchy", "--p", "2", "--n", "3",
           "-N", "200", "--seed", "14", "-o", "{d}/mat.csv"]],
     ),
+    "sample_verify_blocks": (
+        {},
+        [
+            ["sample", "--generator", "student_t:5", "--sigmas", "1,1.5,2", "--mus", "0.5,-1,2",
+             "-N", "10001", "--seed", "16", "--with-sum", "-o", "{d}/blocks.csv"],
+            ["verify", "-i", "{d}/blocks.csv", "-C", "1.5"],
+        ],
+    ),
     "verify": (
         {},
         [

@@ -234,3 +234,8 @@ def test_report_json():
     batch = sample_jm_elliptical([0, 0], [1, 1], NORMAL, 10, seed=0)
     d = json.loads(verify_constant_sum(batch, 0.0, 1e-8).to_json())
     assert d["passed"] is True and d["rows"] == 10
+
+
+def test_verify_rejects_zero_columns():
+    with pytest.raises(ValueError):
+        verify_constant_sum(np.zeros((3, 0)), 0.0, 1e-8)
