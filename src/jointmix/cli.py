@@ -181,6 +181,8 @@ def cmd_sample(args):
                 base, atoms, int(cfg.get("n", args.n)), count, seed
             )
         elif kind == "matrix":
+            if args.with_sum:
+                raise CliError("--with-sum is not available for the matrix coupling")
             p = int(cfg.get("p", args.p))
             sigma_p = np.asarray(cfg.get("sigma_p", np.eye(p).tolist()), dtype=float)
             mbatch = couplings.sample_matrix_variate_cm(
@@ -250,34 +252,31 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 def _parse_range(text):
-    # "lo:hi" or "lo:hi:step" inclusive
-    try:
-        parts = [float(p) for p in text.split(":")]
-    except ValueError as exc:
-        raise CliError(f"bad range {text!r}") from exc
-    if len(parts) == 2:
-        lo, hi, step = parts[0], parts[1], 1.0
-    elif len(parts) == 3:
-        lo, hi, step = parts
-    else:
+    # "lo:hi" or "lo:hi:step" inclusive.  The values lo + k*step are taken
+    # in decimal from the typed strings, so 0:1:0.1 gives 0.3, not
+    # 0.30000000000000004; integer grids give the same floats as a sum would.
+    # Values that round to the same float (a step below the float spacing)
+    # are listed once.
+    from decimal import Decimal, InvalidOperation
+
+    parts = text.split(":")
+    if len(parts) not in (2, 3):
         raise CliError(f"bad range {text!r}")
-    if not all(math.isfinite(v) for v in parts):
+    try:
+        lo, hi, step = [Decimal(p) for p in parts] + [Decimal(1)] * (3 - len(parts))
+        finite = all(math.isfinite(float(v)) for v in (lo, hi, step))
+    except (InvalidOperation, ValueError) as exc:
+        raise CliError(f"bad range {text!r}") from exc
+    if not finite:
         raise CliError(f"range {text!r} must have finite ends and step")
     if step <= 0:
         raise CliError(f"range {text!r} needs a positive step")
     if hi < lo:
         return []
-    count = math.floor((hi - lo + 1e-12) / step) + 1
+    count = int((hi - lo) / step) + 1
     if count > _MAX_GRID_POINTS:
         raise CliError(f"range {text!r} has more than {_MAX_GRID_POINTS} points")
-    vals = []
-    v = lo
-    # v += step leaves v unchanged once step is below half the float spacing
-    # near v; the count bound ends the loop there too
-    while v <= hi + 1e-12 and len(vals) <= count:
-        vals.append(v)
-        v += step
-    return vals
+    return sorted({float(lo + k * step) for k in range(count)})
 
 
 def _grid_size_check(*axes):

@@ -32,7 +32,8 @@ __all__ = [
     "family_from_spec",
 ]
 
-_BISECT_TOL = 1e-10
+_QUANTILE_RTOL = 4.0 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -84,7 +85,7 @@ class UnivariateFamily:
         return _scalar_like(p, self._quantile_impl(np.atleast_1d(p_arr)))
 
     def _quantile_impl(self, p: np.ndarray) -> np.ndarray:
-        return _bisect_quantile(self.cdf, p, self.support)
+        return _solve_quantile(self.cdf, self.density, p, self.support)
 
     def sample(self, count: int, seed: int) -> np.ndarray:
         if count <= 0:
@@ -102,33 +103,70 @@ class UnivariateFamily:
         return f"{type(self).__name__}({self.spec()})"
 
 
-def _bisect_quantile(cdf, p, support, tol=_BISECT_TOL):
-    """Vectorized bisection for the inverse CDF, with expanding brackets on
-    unbounded supports."""
-    p = np.asarray(p, dtype=float)
+def _solve_quantile(cdf, density, p, support):
+    """x with cdf(x) = p for each entry of the 1-D array ``p``.
+
+    Newton steps on ``density``, safeguarded by brackets from one ladder of
+    points that doubles its width toward each infinite end of ``support``.
+    A point starts at the bracket end of larger density, from which Newton is
+    monotone in both tails of a unimodal law, and bisects when a step leaves
+    its bracket or fails to halve the step two iterations back; only running
+    points are evaluated.  A point stops when its step is at most
+    4 eps |x| + tiny, when |cdf(x) - p| <= 4 ulp(p), or when no double is
+    left inside its bracket.  The result is nondecreasing in p.  Raises
+    ``FamilyError`` when the ladder cannot bracket p or the iteration fails.
+    """
     lo_s, hi_s = support
-    lo = np.full(p.shape, lo_s if np.isfinite(lo_s) else -1.0)
-    hi = np.full(p.shape, hi_s if np.isfinite(hi_s) else 1.0)
-    if not np.isfinite(lo_s):
-        for _ in range(200):
-            mask = np.asarray(cdf(lo)) > p
-            if not mask.any():
-                break
-            lo = np.where(mask, 2 * lo - np.maximum(hi, 0) - 1, lo)
-    if not np.isfinite(hi_s):
-        for _ in range(200):
-            mask = np.asarray(cdf(hi)) < p
-            if not mask.any():
-                break
-            hi = np.where(mask, 2 * hi - np.minimum(lo, 0) + 1, hi)
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        below = np.asarray(cdf(mid)) < p
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.max(hi - lo) < tol:
+    lo = lo_s if np.isfinite(lo_s) else min(hi_s, 0.0) - 1.0
+    hi = hi_s if np.isfinite(hi_s) else max(lo, 0.0) + 1.0
+    xs = np.array([lo, 0.5 * (lo + hi), hi])
+    fs = np.asarray(cdf(xs), dtype=float)
+    while True:
+        width = float(xs[-1] - xs[0])
+        new_lo = [float(xs[0]) - width] * bool(np.isinf(lo_s) and fs[0] > p.min())
+        new_hi = [float(xs[-1]) + width] * bool(np.isinf(hi_s) and fs[-1] < p.max())
+        new = new_lo + new_hi
+        if not new or not np.all(np.isfinite(new)):
             break
-    return 0.5 * (lo + hi)
+        f_new = np.asarray(cdf(np.array(new)), dtype=float)
+        xs = np.concatenate([new_lo, xs, new_hi])
+        fs = np.concatenate([f_new[: len(new_lo)], fs, f_new[len(new_lo):]])
+    if not (np.all(np.isfinite(fs)) and fs[0] <= p.min() and fs[-1] >= p.max()):
+        raise FamilyError("quantile: the CDF does not bracket the probabilities")
+    # the first ladder point whose running-maximum CDF reaches p has F >= p,
+    # and the one before it F < p, also where rounding noise breaks the
+    # monotony of the computed CDF
+    j = np.clip(np.searchsorted(np.maximum.accumulate(fs), p), 1, xs.size - 1)
+    ds = np.asarray(density(xs), dtype=float)
+    lo, hi = xs[j - 1], xs[j]
+    start = np.where(ds[j - 1] > ds[j], j - 1, j)
+    x, f, d = xs[start], fs[start] - p, ds[start]
+    out, idx, order = np.empty_like(p), np.arange(p.size), np.argsort(p, kind="stable")
+    taken = taken_before = np.full(p.size, np.inf)  # the last two steps
+    for _ in range(100):
+        lo, hi = np.where(f < 0, x, lo), np.where(f < 0, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = np.where(np.isfinite(d) & (d > 0), -f / d, np.nan)
+        nxt, mid = x + step, 0.5 * (lo + hi)
+        stop_here = (np.abs(f) <= 4.0 * np.spacing(p)) | (mid == lo) | (mid == hi)
+        done = stop_here | (np.abs(step) <= _QUANTILE_RTOL * np.abs(x) + _TINY)
+        out[idx[done]] = np.where(stop_here, x, np.clip(nxt, lo, hi))[done]
+        keep = ~done
+        if not keep.any():
+            # CDF noise of a few ulp can swap the roots of p a few ulp apart
+            out[order] = np.maximum.accumulate(out[order])
+            return out
+        # a Newton step must land inside the bracket and be at most half the
+        # step two iterations back, which breaks Newton's two-cycles
+        newton = (nxt > lo) & (nxt < hi) & (np.abs(step) <= 0.5 * np.abs(taken_before))
+        nxt = np.where(newton, nxt, mid)
+        taken, taken_before = (nxt - x)[keep], taken[keep]
+        x, lo, hi, p, idx = nxt[keep], lo[keep], hi[keep], p[keep], idx[keep]
+        f = np.asarray(cdf(x), dtype=float) - p
+        d = np.asarray(density(x), dtype=float)
+        if not np.all(np.isfinite(f)):
+            raise FamilyError("quantile: the CDF is not finite inside the bracket")
+    raise FamilyError(f"quantile: {idx.size} points did not converge in 100 steps")
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +209,34 @@ class Uniform(UnivariateFamily):
 # One-dimensional elliptical laws  E_1(mu, sigma^2, psi)
 # ---------------------------------------------------------------------------
 
-class Elliptical(UnivariateFamily):
+class _SymmetricLocationScale(UnivariateFamily):
+    """mu + sigma * Z for a unimodal law Z symmetric about 0, given by
+    ``std_density`` and ``std_cdf``."""
+
+    symmetric = True
+    unimodal = True
+
+    def density(self, x):
+        z = (_as_array(x) - self.mu) / self.sigma
+        return _scalar_like(x, self.std_density(z) / self.sigma)
+
+    def cdf(self, x):
+        z = (_as_array(x) - self.mu) / self.sigma
+        return _scalar_like(x, self.std_cdf(z))
+
+    def _quantile_impl(self, p):
+        # only the lower half is solved: 1 - p is exact for p > 1/2, and the
+        # lower tail of a CDF keeps the relative precision 1 - F loses near 1
+        z = _solve_quantile(self.std_cdf, self.std_density, np.minimum(p, 1.0 - p), self.support)
+        return self.mu + self.sigma * np.where(p > 0.5, -z, z)
+
+
+class Elliptical(_SymmetricLocationScale):
     """Location-scale symmetric law with a supported characteristic generator.
 
     X = mu + sigma * sqrt(W) * Z.  Densities of normal variance mixtures are
     unimodal and symmetric, so both flags are set.
     """
-
-    symmetric = True
-    unimodal = True
 
     def __init__(self, mu: float, sigma: float, generator: CharacteristicGenerator):
         if sigma <= 0:
@@ -223,23 +280,15 @@ class Elliptical(UnivariateFamily):
         if g.kind == "cauchy":
             return np.arctan2(1.0, -z) / np.pi
         if g.kind == "pearson_vii":
-            N, m = g.shape, g.scale
-            tail = 0.5 * special.betainc(N - 0.5, 0.5, m / (m + z * z))
-            return np.where(z >= 0, 1.0 - tail, tail)
+            # Pearson VII(N, m) is Student t with nu = 2N - 1, scaled by sqrt(m / nu)
+            nu = 2.0 * g.shape - 1.0
+            return special.stdtr(nu, z * math.sqrt(nu / g.scale))
         if g.kind == "discrete_mixture":
             out = np.zeros_like(z, dtype=float)
             for w, s in g.atoms:
                 out += w * special.ndtr(z / s)
             return out
         raise GeneratorError(g.kind)
-
-    def density(self, x):
-        z = (_as_array(x) - self.mu) / self.sigma
-        return _scalar_like(x, self.std_density(z) / self.sigma)
-
-    def cdf(self, x):
-        z = (_as_array(x) - self.mu) / self.sigma
-        return _scalar_like(x, self.std_cdf(z))
 
     def _quantile_impl(self, p):
         g = self.generator
@@ -249,8 +298,11 @@ class Elliptical(UnivariateFamily):
             z = special.stdtrit(g.nu, p)
         elif g.kind == "cauchy":
             z = _cauchy_ppf(p)
+        elif g.kind == "pearson_vii":
+            nu = 2.0 * g.shape - 1.0
+            z = special.stdtrit(nu, p) * math.sqrt(g.scale / nu)
         else:
-            z = _bisect_quantile(self.std_cdf, p, (-np.inf, np.inf))
+            return super()._quantile_impl(p)
         return self.mu + self.sigma * z
 
     def sample_with(self, rng, count):
@@ -753,16 +805,18 @@ _SLASH_U = 0.5 * (_SLASH_NODES + 1.0)
 _SLASH_W = 0.5 * _SLASH_WEIGHTS
 
 
-class SlashElliptical(UnivariateFamily):
+class SlashElliptical(_SymmetricLocationScale):
     """X = Z / U^(1/q) + mu with Z elliptical E_1(0, sigma^2, psi) and U
     uniform on (0,1).
 
-    Density and CDF integrate over the shared uniform; the substitution is
-    chosen by q so the integrand stays smooth at 0.
+    With the normal generator, F(-|z|) = Phi(-|z|) + |z| H(|z|) and the
+    standardized density is q H(|z|), where, with a = (q+1)/2,
+    H(r) = 2^((q-1)/2) Gamma(a) P(a, r^2/2) / (sqrt(2 pi) r^(q+1))
+         = 1F1(a; a+1; -r^2/2) / (2 a sqrt(2 pi))   (Kummer's form),
+    which stays finite at r = 0 and for large q, where P underflows and
+    r^-(q+1) overflows.  Other generators integrate over the shared uniform;
+    the substitution is chosen by q so the integrand stays smooth at 0.
     """
-
-    symmetric = True
-    unimodal = True
 
     def __init__(self, mu: float, sigma: float, generator: CharacteristicGenerator, q: float):
         if q <= 0:
@@ -785,18 +839,23 @@ class SlashElliptical(UnivariateFamily):
         # keep u; u^(1/q) is smooth when 1/q > 1
         return _SLASH_U ** (1.0 / q), _SLASH_W
 
-    def density(self, x):
-        c = (_as_array(x) - self.mu)
-        t, w = self._u_pow()
-        vals = self._base.std_density(np.multiply.outer(c / self.sigma, t)) * t
-        out = np.sum(w * vals, axis=-1) / self.sigma
-        return _scalar_like(x, out)
+    def _normal_h(self, r):
+        a = 0.5 * (self.q + 1.0)
+        return special.hyp1f1(a, a + 1.0, -0.5 * r * r) / (2.0 * a * _SQRT_2PI)
 
-    def cdf(self, x):
-        c = (_as_array(x) - self.mu)
+    def std_density(self, z):
+        if self.generator.kind == "normal":
+            return self.q * self._normal_h(np.abs(z))
         t, w = self._u_pow()
-        vals = self._base.std_cdf(np.multiply.outer(c / self.sigma, t))
-        return _scalar_like(x, np.sum(w * vals, axis=-1))
+        return np.sum(w * (self._base.std_density(np.multiply.outer(z, t)) * t), axis=-1)
+
+    def std_cdf(self, z):
+        if self.generator.kind == "normal":
+            r = np.abs(z)
+            lower = special.ndtr(-r) + r * self._normal_h(r)
+            return np.where(z > 0, 1.0 - lower, lower)
+        t, w = self._u_pow()
+        return np.sum(w * self._base.std_cdf(np.multiply.outer(z, t)), axis=-1)
 
     def sample_with(self, rng, count):
         z = self._base.sample_with(rng, count)

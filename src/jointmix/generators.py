@@ -129,7 +129,8 @@ class CharacteristicGenerator:
     def spec(self) -> dict:
         d: dict = {"kind": self.kind}
         if self.kind == "student_t":
-            d["nu"] = self.nu
+            # strict JSON has no infinity; from_spec reads "inf" through float()
+            d["nu"] = self.nu if math.isfinite(self.nu) else "inf"
         elif self.kind == "pearson_vii":
             d["shape"] = self.shape
             d["scale"] = self.scale

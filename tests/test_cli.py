@@ -153,6 +153,37 @@ def test_sample_student_t_infinite_nu_writes_normal_rows(tmp_path, capsys):
     assert np.all(np.isfinite(rows))
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not strict JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_infinite_nu_output_is_strict_json(tmp_path, capsys):
+    from jointmix.generators import CharacteristicGenerator
+
+    code, out, _ = run(capsys, "check", "--family", "student_t:inf", "--sigmas", "1,1,1")
+    assert code == EXIT_JM
+    assert _strict_json(out)["certificate"]["generator"] == {"kind": "student_t", "nu": "inf"}
+    path = tmp_path / "t.csv"
+    code, _, _ = run(capsys, "sample", "--generator", "student_t:inf", "--sigmas", "1,1,1",
+                     "-N", "3", "-o", str(path))
+    assert code == 0
+    sidecar = _strict_json((tmp_path / "t.csv.json").read_text())
+    g = CharacteristicGenerator.from_spec(sidecar["generator"])
+    assert g == CharacteristicGenerator.student_t(math.inf)
+
+
+def test_sample_matrix_rejects_with_sum(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    code, out, err = run(capsys, "sample", "--coupling", "matrix", "--with-sum", "-N", "2",
+                         "-o", str(path))
+    assert code == EXIT_USAGE
+    assert out == "" and len(err.strip().splitlines()) == 1 and "--with-sum" in err
+    assert not path.exists()
+
+
 def test_verify_missing_file(capsys):
     code, _, err = run(capsys, "verify", "-i", "/nonexistent.csv", "-C", "0")
     assert code == EXIT_IO
@@ -273,15 +304,19 @@ def test_explore_rejects_grid_product_above_cap(capsys):
     assert out == "" and "grid" in err
 
 
-def test_parse_range_keeps_accumulated_values():
+def test_parse_range_gives_typed_values():
     from jointmix.cli import _parse_range
 
-    expected, v = [], 0.0
-    while v <= 1.0 + 1e-12:
-        expected.append(v)
-        v += 0.1
-    assert _parse_range("0:1:0.1") == expected
+    typed = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+    assert _parse_range("0:1:0.1") == typed
     assert _parse_range("3:1") == []
+    # integer steps give the floats a running sum gives
+    expected, v = [], 0.0
+    while v <= 100.0:
+        expected.append(v)
+        v += 1.0
+    assert _parse_range("0:100:1") == expected
+    assert _parse_range("0:100") == expected
 
 
 def test_parse_range_ends_when_step_is_below_float_spacing():

@@ -127,3 +127,12 @@ def test_student_t_infinite_nu_is_normal():
     assert np.array_equal(sample_mixing(g, 3, 1), np.ones(3))
     for u in [0.0, 1e-8, 0.5, 2.0, 50.0, math.inf]:
         assert cg_eval(g, u) == math.exp(-u / 2.0)
+
+
+@pytest.mark.parametrize("nu", [math.inf, "inf", "Infinity"])
+def test_student_t_infinite_nu_spec_reads_old_and_new_forms(nu):
+    # spec() writes "inf", which strict JSON accepts; older files hold the float
+    g = CharacteristicGenerator.student_t(math.inf)
+    assert g.spec() == {"kind": "student_t", "nu": "inf"}
+    assert CharacteristicGenerator.from_spec({"kind": "student_t", "nu": nu}) == g
+    assert CharacteristicGenerator.student_t(3.0).spec() == {"kind": "student_t", "nu": 3.0}

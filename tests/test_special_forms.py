@@ -6,9 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 
-from jointmix.families import Elliptical, SkewNormal, _bisect_quantile
+from jointmix.families import Elliptical, SkewNormal
 from jointmix.generators import CharacteristicGenerator, MixingLaw, cg_eval, mixing_law
 
 RTOL = 1e-13
@@ -27,8 +27,33 @@ def _mixture_cdf(x, loc, scale):
 
 
 def _mixture_ppf(p, loc, scale):
-    z = _bisect_quantile(lambda t: _mixture_cdf(t, 0.0, 1.0), p, (-np.inf, np.inf))
-    return loc + scale * z
+    # Brent's method, one point at a time, on the stats.norm mixture CDF, or
+    # on its survival function above the median: near p = 1 - 1e-12 the CDF
+    # rounds to the same double over ~3e-5 of x, so only 1 - F fixes the root
+    def root(pk):
+        if pk <= 0.5:
+            def gap(t):
+                return _mixture_cdf(t, 0.0, 1.0) - pk
+        else:
+            def gap(t):
+                return (1.0 - pk) - sum(w * stats.norm.sf(t, 0.0, s) for w, s in ATOMS)
+        return optimize.brentq(
+            gap, -60.0, 60.0, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=500
+        )
+
+    return loc + scale * np.array([root(pk) for pk in np.atleast_1d(p)])
+
+
+def _pearson_vii_case(N, m):
+    # Pearson VII(N, m) is Student t with nu = 2N - 1, scaled by sqrt(m / nu)
+    nu = 2 * N - 1
+    k = math.sqrt(m / nu)
+    return (
+        CharacteristicGenerator.pearson_vii(N, m),
+        lambda x, loc, scale: stats.t.pdf(x, nu, loc, scale * k),
+        lambda x, loc, scale: stats.t.cdf(x, nu, loc, scale * k),
+        lambda p, loc, scale: stats.t.ppf(p, nu, loc, scale * k),
+    )
 
 
 CASES = [
@@ -44,8 +69,10 @@ CASES = [
     ],
     (CharacteristicGenerator.cauchy(), stats.cauchy.pdf, stats.cauchy.cdf, stats.cauchy.ppf),
     (CharacteristicGenerator.discrete_mixture(ATOMS), _mixture_pdf, _mixture_cdf, _mixture_ppf),
+    *[_pearson_vii_case(N, m) for N, m in ((0.75, 1.0), (2.0, 1.0), (2.5, 3.0), (200.0, 1.5))],
 ]
-IDS = ["normal", "t0.5", "t1.5", "t3", "t30", "t_inf", "cauchy", "mixture"]
+IDS = ["normal", "t0.5", "t1.5", "t3", "t30", "t_inf", "cauchy", "mixture",
+       "pvii0.75", "pvii2", "pvii2.5", "pvii200"]
 
 
 @pytest.mark.parametrize("g, pdf, cdf, ppf", CASES, ids=IDS)
