@@ -67,11 +67,12 @@ def polygon_unit_vectors(sigmas) -> np.ndarray:
     n = 2 is antithetic, n = 3 closes a triangle by the law of cosines, and
     n >= 4 merges the two smallest sides (which preserves the polygon
     inequality) until a triangle remains, then assigns the merged direction
-    to both original sides.  Deterministic for a fixed input order.
+    to both original sides.  The inequality is tested once, exactly, on the
+    input; the merged sides are rounded sums and are not re-tested.
+    Deterministic for a fixed input order.
     """
     sig = np.asarray([float(s) for s in sigmas])
-    n = sig.size
-    if n < 2:
+    if sig.size < 2:
         raise PolygonInequalityError("need at least two sides")
     if np.any(sig <= 0):
         raise ValueError("sides must be positive")
@@ -79,6 +80,11 @@ def polygon_unit_vectors(sigmas) -> np.ndarray:
         raise PolygonInequalityError(
             f"polygon inequality fails: sum={sig.sum()} < 2*max={2 * sig.max()}"
         )
+    return _polygon(sig)
+
+
+def _polygon(sig: np.ndarray) -> np.ndarray:
+    n = sig.size
     if n == 2:
         return np.array([[1.0, 0.0], [-1.0, 0.0]])
     if n == 3:
@@ -87,7 +93,7 @@ def polygon_unit_vectors(sigmas) -> np.ndarray:
     i, j = sorted((int(order[0]), int(order[1])))
     reduced = [s for k, s in enumerate(sig) if k != j]
     reduced[i if i < j else i - 1] = sig[i] + sig[j]
-    sub = polygon_unit_vectors(reduced)
+    sub = _polygon(np.asarray(reduced))
     out = np.empty((n, 2))
     sub_iter = iter(range(n - 1))
     merged_row = None
@@ -245,29 +251,33 @@ def _write_csv(path, header, table, cell_fmts=None) -> None:
 # Samplers
 # ---------------------------------------------------------------------------
 
+def _polygon_draws(mus, sigmas, g: CharacteristicGenerator, count: int, seed: int, q=None):
+    """mu + sqrt(W) L z, divided by U^(1/q) when q is given, with L row i =
+    sigma_i v_i; W, then z, then U are drawn from one generator seeded by
+    ``seed``.  Returns the draws and the metadata shared by both couplings."""
+    mus = np.asarray([float(m) for m in mus])
+    sig = np.asarray([float(s) for s in sigmas])
+    if mus.size != sig.size:
+        raise ValueError("mus and sigmas must have equal length")
+    L = sig[:, None] * polygon_unit_vectors(sig)  # (n, 2)
+    rng = np.random.default_rng(seed)
+    w = mixing_law(g).sample_with(rng, count)
+    z = rng.standard_normal((count, 2))
+    centered = np.sqrt(w)[:, None] * (z @ L.T)
+    if q is not None:
+        centered = centered / (rng.uniform(size=count) ** (1.0 / q))[:, None]
+    meta = {"generator": g.spec(), "sigmas": sig.tolist(), "mus": mus.tolist()}
+    return mus[None, :] + centered, float(mus.sum()), meta
+
+
 def sample_jm_elliptical(mus, sigmas, g: CharacteristicGenerator, count: int, seed: int) -> SampleBatch:
     """Joint elliptical draws with row sums identically sum(mu).
 
     X = mu + sqrt(W) L z with L row i = sigma_i v_i and one shared mixing
     draw W per joint sample; each marginal is E_1(mu_i, sigma_i^2, psi).
     """
-    mus = np.asarray([float(m) for m in mus])
-    sig = np.asarray([float(s) for s in sigmas])
-    if mus.size != sig.size:
-        raise ValueError("mus and sigmas must have equal length")
-    vs = polygon_unit_vectors(sig)
-    L = sig[:, None] * vs  # (n, 2)
-    rng = np.random.default_rng(seed)
-    w = mixing_law(g).sample_with(rng, count)
-    z = rng.standard_normal((count, 2))
-    data = mus[None, :] + np.sqrt(w)[:, None] * (z @ L.T)
-    return SampleBatch(
-        data=data,
-        seed=seed,
-        joint_center=float(mus.sum()),
-        kind="elliptical",
-        metadata={"generator": g.spec(), "sigmas": sig.tolist(), "mus": mus.tolist()},
-    )
+    data, center, meta = _polygon_draws(mus, sigmas, g, count, seed)
+    return SampleBatch(data=data, seed=seed, joint_center=center, kind="elliptical", metadata=meta)
 
 
 def sample_jm_slash(mus, sigmas, g: CharacteristicGenerator, q: float, count: int, seed: int) -> SampleBatch:
@@ -275,30 +285,9 @@ def sample_jm_slash(mus, sigmas, g: CharacteristicGenerator, q: float, count: in
     centered constant-sum elliptical vector, so sums stay at sum(mu)."""
     if q <= 0:
         raise ValueError("q must be positive")
-    mus = np.asarray([float(m) for m in mus])
-    sig = np.asarray([float(s) for s in sigmas])
-    if mus.size != sig.size:
-        raise ValueError("mus and sigmas must have equal length")
-    vs = polygon_unit_vectors(sig)
-    L = sig[:, None] * vs
-    rng = np.random.default_rng(seed)
-    w = mixing_law(g).sample_with(rng, count)
-    z = rng.standard_normal((count, 2))
-    u = rng.uniform(size=count)
-    centered = np.sqrt(w)[:, None] * (z @ L.T)
-    data = mus[None, :] + centered / (u ** (1.0 / q))[:, None]
-    return SampleBatch(
-        data=data,
-        seed=seed,
-        joint_center=float(mus.sum()),
-        kind="slash",
-        metadata={
-            "generator": g.spec(),
-            "sigmas": sig.tolist(),
-            "mus": mus.tolist(),
-            "q": float(q),
-        },
-    )
+    data, center, meta = _polygon_draws(mus, sigmas, g, count, seed, float(q))
+    meta["q"] = float(q)
+    return SampleBatch(data=data, seed=seed, joint_center=center, kind="slash", metadata=meta)
 
 
 def sample_cm_scale_mixture(

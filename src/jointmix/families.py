@@ -2,8 +2,11 @@
 
 Each family carries structural flags (symmetric, unimodal, support) that the
 verdict machinery relies on, so the flags are covered by honesty tests rather
-than trusted.  Closed forms are used wherever the CDF has one; otherwise a
-write-once tabulated CDF backs vectorized evaluation and inverse-CDF sampling.
+than trusted.  Closed forms are used wherever the CDF has one.  Elliptical and
+slash-elliptical laws dispatch on the law of their mixing scale W (degenerate,
+discrete or inverse gamma), never on the generator's kind.  Quantiles without
+a closed form come from one safeguarded Newton solver; only the generalized
+logistic law with beta != 1 reads a tabulated CDF.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .generators import CharacteristicGenerator, GeneratorError, mixing_law, special
+from .generators import CharacteristicGenerator, mixing_law, special
 
 __all__ = [
     "UnivariateFamily",
@@ -65,7 +68,12 @@ def _scalar_like(x, out):
 
 
 class UnivariateFamily:
-    """Base interface; subclasses fill in the numerics."""
+    """Base interface; subclasses fill in the numerics.
+
+    ``density`` and ``cdf`` take scalars or arrays and return the same; the
+    array-only ``_density`` and ``_cdf`` behind them are what subclasses
+    write.
+    """
 
     symmetric: bool = False
     unimodal: bool = False
@@ -73,9 +81,15 @@ class UnivariateFamily:
     support: tuple[float, float] = (-np.inf, np.inf)
 
     def density(self, x):
-        raise NotImplementedError
+        return _scalar_like(x, self._density(_as_array(x)))
 
     def cdf(self, x):
+        return _scalar_like(x, self._cdf(_as_array(x)))
+
+    def _density(self, x: np.ndarray):
+        raise NotImplementedError
+
+    def _cdf(self, x: np.ndarray):
         raise NotImplementedError
 
     def quantile(self, p):
@@ -185,15 +199,11 @@ class Uniform(UnivariateFamily):
         self.center = 0.5 * (lo + hi)
         self.support = (self.lo, self.hi)
 
-    def density(self, x):
-        x_arr = _as_array(x)
-        out = np.where((x_arr >= self.lo) & (x_arr <= self.hi), 1.0 / (self.hi - self.lo), 0.0)
-        return _scalar_like(x, out)
+    def _density(self, x):
+        return np.where((x >= self.lo) & (x <= self.hi), 1.0 / (self.hi - self.lo), 0.0)
 
-    def cdf(self, x):
-        x_arr = _as_array(x)
-        out = np.clip((x_arr - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-        return _scalar_like(x, out)
+    def _cdf(self, x):
+        return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
     def _quantile_impl(self, p):
         return self.lo + p * (self.hi - self.lo)
@@ -216,13 +226,11 @@ class _SymmetricLocationScale(UnivariateFamily):
     symmetric = True
     unimodal = True
 
-    def density(self, x):
-        z = (_as_array(x) - self.mu) / self.sigma
-        return _scalar_like(x, self.std_density(z) / self.sigma)
+    def _density(self, x):
+        return self.std_density((x - self.mu) / self.sigma) / self.sigma
 
-    def cdf(self, x):
-        z = (_as_array(x) - self.mu) / self.sigma
-        return _scalar_like(x, self.std_cdf(z))
+    def _cdf(self, x):
+        return self.std_cdf((x - self.mu) / self.sigma)
 
     def _quantile_impl(self, p):
         # only the lower half is solved: 1 - p is exact for p > 1/2, and the
@@ -235,7 +243,9 @@ class Elliptical(_SymmetricLocationScale):
     """Location-scale symmetric law with a supported characteristic generator.
 
     X = mu + sigma * sqrt(W) * Z.  Densities of normal variance mixtures are
-    unimodal and symmetric, so both flags are set.
+    unimodal and symmetric, so both flags are set.  The numerics depend only
+    on the mixing law ``law`` of W: a scaled Student t when W is inverse gamma,
+    and a normal scale mixture over the atoms of a degenerate or discrete W.
     """
 
     def __init__(self, mu: float, sigma: float, generator: CharacteristicGenerator):
@@ -245,68 +255,49 @@ class Elliptical(_SymmetricLocationScale):
         self.sigma = float(sigma)
         self.generator = generator
         self.center = self.mu
+        self.law = mixing_law(generator)
+        # (probability, normal scale sqrt(w)) per atom of a degenerate or discrete W
+        self._scales = [(p, math.sqrt(w)) for p, w in self.law.atoms]
 
-    # standardised (mu=0, sigma=1) density / cdf / quantile
+    def _is_cauchy(self) -> bool:
+        return self.law.a == self.law.b == 0.5
+
+    # standardised (mu=0, sigma=1) density / cdf / quantile.  InvGamma(a, b)
+    # mixes to Student t with nu = 2a, scaled by sqrt(b/a); at a = b = 1/2
+    # (Cauchy) the arctangent forms are exact where stdtr(1, .) is not.
     def std_density(self, z):
-        g = self.generator
-        z = _as_array(z)
-        if g.kind == "normal" or (g.kind == "student_t" and g.nu == math.inf):
-            return _norm_pdf(z)
-        if g.kind == "student_t":
-            nu = g.nu
-            log_c = special.gammaln(0.5 * (nu + 1.0)) - special.gammaln(0.5 * nu)
-            log_c -= 0.5 * math.log(nu * math.pi)
-            return np.exp(log_c - 0.5 * (nu + 1.0) * np.log1p(z * z / nu))
-        if g.kind == "cauchy":
+        law = self.law
+        if law.kind != "inverse_gamma":
+            return sum(p * _norm_pdf(z / s) / s for p, s in self._scales)
+        if self._is_cauchy():
             return 1.0 / np.pi / (1.0 + z * z)
-        if g.kind == "pearson_vii":
-            N, m = g.shape, g.scale
-            log_c = special.gammaln(N) - special.gammaln(N - 0.5) - 0.5 * math.log(m * math.pi)
-            return np.exp(log_c - N * np.log1p(z * z / m))
-        if g.kind == "discrete_mixture":
-            out = np.zeros_like(z, dtype=float)
-            for w, s in g.atoms:
-                out += w * _norm_pdf(z / s) / s
-            return out
-        raise GeneratorError(g.kind)
+        a, b = law.a, law.b
+        log_c = special.gammaln(a + 0.5) - special.gammaln(a)
+        log_c -= 0.5 * math.log(2.0 * math.pi * b)
+        return np.exp(log_c - (a + 0.5) * np.log1p(z * z / (2.0 * b)))
 
     def std_cdf(self, z):
-        g = self.generator
-        z = _as_array(z)
-        if g.kind == "normal":
-            return special.ndtr(z)
-        if g.kind == "student_t":
-            return special.stdtr(g.nu, z)
-        if g.kind == "cauchy":
+        law = self.law
+        if law.kind != "inverse_gamma":
+            return sum(p * special.ndtr(z / s) for p, s in self._scales)
+        if self._is_cauchy():
             return np.arctan2(1.0, -z) / np.pi
-        if g.kind == "pearson_vii":
-            # Pearson VII(N, m) is Student t with nu = 2N - 1, scaled by sqrt(m / nu)
-            nu = 2.0 * g.shape - 1.0
-            return special.stdtr(nu, z * math.sqrt(nu / g.scale))
-        if g.kind == "discrete_mixture":
-            out = np.zeros_like(z, dtype=float)
-            for w, s in g.atoms:
-                out += w * special.ndtr(z / s)
-            return out
-        raise GeneratorError(g.kind)
+        return special.stdtr(2.0 * law.a, z * math.sqrt(law.a / law.b))
 
     def _quantile_impl(self, p):
-        g = self.generator
-        if g.kind == "normal":
-            z = special.ndtri(p)
-        elif g.kind == "student_t":
-            z = special.stdtrit(g.nu, p)
-        elif g.kind == "cauchy":
-            z = _cauchy_ppf(p)
-        elif g.kind == "pearson_vii":
-            nu = 2.0 * g.shape - 1.0
-            z = special.stdtrit(nu, p) * math.sqrt(g.scale / nu)
-        else:
+        law = self.law
+        if law.kind == "discrete":
             return super()._quantile_impl(p)
+        if law.kind == "degenerate":
+            z = special.ndtri(p)
+        elif self._is_cauchy():
+            z = _cauchy_ppf(p)
+        else:
+            z = special.stdtrit(2.0 * law.a, p) * math.sqrt(law.b / law.a)
         return self.mu + self.sigma * z
 
     def sample_with(self, rng, count):
-        w = mixing_law(self.generator).sample_with(rng, count)
+        w = self.law.sample_with(rng, count)
         return self.mu + self.sigma * np.sqrt(w) * rng.standard_normal(count)
 
     def spec(self):
@@ -341,13 +332,13 @@ class LocationScaleSymmetric(UnivariateFamily):
         self.support = (self.mu + self.theta * (lo - c), self.mu + self.theta * (hi - c))
 
     def _to_base(self, x):
-        return self.base.center + (_as_array(x) - self.mu) / self.theta
+        return self.base.center + (x - self.mu) / self.theta
 
-    def density(self, x):
-        return _scalar_like(x, self.base.density(self._to_base(x)) / self.theta)
+    def _density(self, x):
+        return self.base.density(self._to_base(x)) / self.theta
 
-    def cdf(self, x):
-        return _scalar_like(x, self.base.cdf(self._to_base(x)))
+    def _cdf(self, x):
+        return self.base.cdf(self._to_base(x))
 
     def _quantile_impl(self, p):
         q = np.asarray(self.base.quantile(p))
@@ -387,18 +378,15 @@ class BimodalPower(UnivariateFamily):
         self.center = 0.0
         self.support = (-self.a, self.a)
 
-    def density(self, x):
+    def _density(self, x):
         a, r = self.a, self.r
-        x_arr = _as_array(x)
         c = (2 * r + 1) / (2.0 * a ** (2 * r + 1))
-        out = np.where(np.abs(x_arr) <= a, c * x_arr ** (2 * r), 0.0)
-        return _scalar_like(x, out)
+        return np.where(np.abs(x) <= a, c * x ** (2 * r), 0.0)
 
-    def cdf(self, x):
+    def _cdf(self, x):
         a, r = self.a, self.r
-        x_arr = np.clip(_as_array(x), -a, a)
-        out = (x_arr ** (2 * r + 1) + a ** (2 * r + 1)) / (2.0 * a ** (2 * r + 1))
-        return _scalar_like(x, out)
+        x = np.clip(x, -a, a)
+        return (x ** (2 * r + 1) + a ** (2 * r + 1)) / (2.0 * a ** (2 * r + 1))
 
     def _quantile_impl(self, p):
         a, r = self.a, self.r
@@ -429,22 +417,14 @@ class BimodalMoment(UnivariateFamily):
         # 1 / Beta(m + 1/2, 1/2)
         self.norm_const = 1.0 / special.beta(self.m + 0.5, 0.5)
 
-    def density(self, x):
-        x_arr = _as_array(x)
-        inside = np.abs(x_arr) < 1.0
-        xs = np.where(inside, x_arr, 0.0)
-        out = np.where(
-            inside,
-            self.norm_const * xs ** (2 * self.m) / np.sqrt(1.0 - xs * xs),
-            0.0,
-        )
-        return _scalar_like(x, out)
+    def _density(self, x):
+        inside = np.abs(x) < 1.0
+        xs = np.where(inside, x, 0.0)
+        return np.where(inside, self.norm_const * xs ** (2 * self.m) / np.sqrt(1.0 - xs * xs), 0.0)
 
-    def cdf(self, x):
-        x_arr = np.clip(_as_array(x), -1.0, 1.0)
-        half = 0.5 * special.betainc(self.m + 0.5, 0.5, x_arr * x_arr)
-        out = 0.5 + np.sign(x_arr) * half
-        return _scalar_like(x, out)
+    def _cdf(self, x):
+        x = np.clip(x, -1.0, 1.0)
+        return 0.5 + np.sign(x) * (0.5 * special.betainc(self.m + 0.5, 0.5, x * x))
 
     def _quantile_impl(self, p):
         y = 2.0 * p - 1.0
@@ -489,19 +469,11 @@ class MixtureFamily(UnivariateFamily):
         right = self.density(self.center + grid)
         return bool(np.max(np.abs(left - right)) <= 1e-9 * (1 + np.max(right)))
 
-    def density(self, x):
-        x_arr = _as_array(x)
-        out = np.zeros_like(np.atleast_1d(x_arr), dtype=float)
-        for w, c in zip(self.weights, self.components):
-            out += w * np.atleast_1d(c.density(x_arr))
-        return _scalar_like(x, out.reshape(np.shape(x_arr)))
+    def _density(self, x):
+        return sum(w * c.density(x) for w, c in zip(self.weights, self.components))
 
-    def cdf(self, x):
-        x_arr = _as_array(x)
-        out = np.zeros_like(np.atleast_1d(x_arr), dtype=float)
-        for w, c in zip(self.weights, self.components):
-            out += w * np.atleast_1d(c.cdf(x_arr))
-        return _scalar_like(x, out.reshape(np.shape(x_arr)))
+    def _cdf(self, x):
+        return sum(w * c.cdf(x) for w, c in zip(self.weights, self.components))
 
     def sample_with(self, rng, count):
         idx = rng.choice(len(self.components), p=self.weights, size=count)
@@ -548,7 +520,7 @@ class GeneralizedLogistic(UnivariateFamily):
         return np.sign(x) * np.abs(x) ** self.beta
 
     def _kernel(self, x):
-        t = self._t(_as_array(x))
+        t = self._t(x)
         # exp(-a*t) / (1+exp(-t))^(2a), computed in log space
         return np.exp(-self.alpha * t - 2.0 * self.alpha * np.logaddexp(0.0, -t))
 
@@ -584,18 +556,15 @@ class GeneralizedLogistic(UnivariateFamily):
         inv = interpolate.PchipInterpolator(cdf_vals[keep], xs[keep])
         return fwd, inv
 
-    def density(self, x):
-        return _scalar_like(x, self._norm_const * self._kernel(x))
+    def _density(self, x):
+        return self._norm_const * self._kernel(x)
 
-    def cdf(self, x):
-        x_arr = _as_array(x)
+    def _cdf(self, x):
         if self.beta == 1.0:
-            out = special.betainc(self.alpha, self.alpha, special.expit(x_arr))
-        else:
-            fwd, _ = self._table
-            pos = fwd(np.clip(np.abs(x_arr), 0.0, self._cut))
-            out = np.where(x_arr >= 0, pos, 1.0 - pos)
-        return _scalar_like(x, out)
+            return special.betainc(self.alpha, self.alpha, special.expit(x))
+        fwd, _ = self._table
+        pos = fwd(np.clip(np.abs(x), 0.0, self._cut))
+        return np.where(x >= 0, pos, 1.0 - pos)
 
     def _quantile_impl(self, p):
         if self.beta == 1.0:
@@ -645,16 +614,15 @@ class KotzType(UnivariateFamily):
         self._s = (2.0 * self.N - 1.0) / (2.0 * self.beta)  # gamma shape
         self._c = self.beta * self.m ** self._s / math.gamma(self._s)
 
-    def density(self, x):
-        z = (_as_array(x) - self.mu) / self.sigma
+    def _density(self, x):
+        z = (x - self.mu) / self.sigma
         r = z * z
-        out = self._c * r ** (self.N - 1.0) * np.exp(-self.m * r ** self.beta) / self.sigma
-        return _scalar_like(x, out)
+        return self._c * r ** (self.N - 1.0) * np.exp(-self.m * r ** self.beta) / self.sigma
 
-    def cdf(self, x):
-        z = (_as_array(x) - self.mu) / self.sigma
+    def _cdf(self, x):
+        z = (x - self.mu) / self.sigma
         half = 0.5 * special.gammainc(self._s, self.m * np.abs(z) ** (2.0 * self.beta))
-        return _scalar_like(x, 0.5 + np.sign(z) * half)
+        return 0.5 + np.sign(z) * half
 
     def _quantile_impl(self, p):
         y = 2.0 * p - 1.0
@@ -684,7 +652,6 @@ class KotzType(UnivariateFamily):
 
 def _sn_std_cdf(z, lam):
     """CDF of SN(0,1,lam): Phi(z) - 2 T(z, lam) with Owen's T function."""
-    z = np.asarray(z, dtype=float)
     return np.clip(special.ndtr(z) - 2.0 * special.owens_t(z, lam), 0.0, 1.0)
 
 
@@ -710,14 +677,12 @@ class SkewNormal(UnivariateFamily):
         delta = self.lam / math.sqrt(1.0 + self.lam * self.lam)
         return self.mu + self.sigma * delta * math.sqrt(2.0 / math.pi)
 
-    def density(self, x):
-        z = (_as_array(x) - self.mu) / self.sigma
-        out = 2.0 / self.sigma * _norm_pdf(z) * special.ndtr(self.lam * z)
-        return _scalar_like(x, out)
+    def _density(self, x):
+        z = (x - self.mu) / self.sigma
+        return 2.0 / self.sigma * _norm_pdf(z) * special.ndtr(self.lam * z)
 
-    def cdf(self, x):
-        z = (_as_array(x) - self.mu) / self.sigma
-        return _scalar_like(x, _sn_std_cdf(z, self.lam))
+    def _cdf(self, x):
+        return _sn_std_cdf((x - self.mu) / self.sigma, self.lam)
 
     def sample_with(self, rng, count):
         delta = self.lam / math.sqrt(1.0 + self.lam * self.lam)
@@ -759,19 +724,11 @@ class SSMN(UnivariateFamily):
     def _conditional(self, v: float) -> SkewNormal:
         return SkewNormal(self.mu, self.sigma * v, self.lam * v)
 
-    def density(self, x):
-        x_arr = _as_array(x)
-        out = np.zeros_like(np.atleast_1d(x_arr), dtype=float)
-        for v, p in self.atoms:
-            out += p * np.atleast_1d(self._conditional(v).density(x_arr))
-        return _scalar_like(x, out.reshape(np.shape(x_arr)))
+    def _density(self, x):
+        return sum(p * self._conditional(v).density(x) for v, p in self.atoms)
 
-    def cdf(self, x):
-        x_arr = _as_array(x)
-        out = np.zeros_like(np.atleast_1d(x_arr), dtype=float)
-        for v, p in self.atoms:
-            out += p * np.atleast_1d(self._conditional(v).cdf(x_arr))
-        return _scalar_like(x, out.reshape(np.shape(x_arr)))
+    def _cdf(self, x):
+        return sum(p * self._conditional(v).cdf(x) for v, p in self.atoms)
 
     def sample_with(self, rng, count):
         vals = np.array([v for v, _ in self.atoms])
@@ -809,13 +766,16 @@ class SlashElliptical(_SymmetricLocationScale):
     """X = Z / U^(1/q) + mu with Z elliptical E_1(0, sigma^2, psi) and U
     uniform on (0,1).
 
-    With the normal generator, F(-|z|) = Phi(-|z|) + |z| H(|z|) and the
-    standardized density is q H(|z|), where, with a = (q+1)/2,
+    For a standard normal Z, F(-|z|) = Phi(-|z|) + |z| H(|z|) and the
+    density is q H(|z|), where, with a = (q+1)/2,
     H(r) = 2^((q-1)/2) Gamma(a) P(a, r^2/2) / (sqrt(2 pi) r^(q+1))
          = 1F1(a; a+1; -r^2/2) / (2 a sqrt(2 pi))   (Kummer's form),
     which stays finite at r = 0 and for large q, where P underflows and
-    r^-(q+1) overflows.  Other generators integrate over the shared uniform;
-    the substitution is chosen by q so the integrand stays smooth at 0.
+    r^-(q+1) overflows.  A degenerate or discrete mixing law W makes Z a
+    normal scale mixture, so the law is the p-weighted sum of these forms at
+    z / sqrt(w) over the atoms of W.  An inverse-gamma W integrates the
+    elliptical law over the shared uniform instead; the substitution is
+    chosen by q so the integrand stays smooth at 0.
     """
 
     def __init__(self, mu: float, sigma: float, generator: CharacteristicGenerator, q: float):
@@ -827,6 +787,7 @@ class SlashElliptical(_SymmetricLocationScale):
         self.generator = generator
         self.center = self.mu
         self._base = Elliptical(0.0, sigma, generator)
+        self.law, self._scales = self._base.law, self._base._scales
 
     def _u_pow(self):
         """Nodes/weights for integrating h(u^(1/q)) du over (0,1) smoothly."""
@@ -843,17 +804,20 @@ class SlashElliptical(_SymmetricLocationScale):
         a = 0.5 * (self.q + 1.0)
         return special.hyp1f1(a, a + 1.0, -0.5 * r * r) / (2.0 * a * _SQRT_2PI)
 
+    def _normal_cdf(self, z):
+        r = np.abs(z)
+        lower = special.ndtr(-r) + r * self._normal_h(r)
+        return np.where(z > 0, 1.0 - lower, lower)
+
     def std_density(self, z):
-        if self.generator.kind == "normal":
-            return self.q * self._normal_h(np.abs(z))
+        if self.law.kind != "inverse_gamma":
+            return sum(p * (self.q * self._normal_h(np.abs(z / s))) / s for p, s in self._scales)
         t, w = self._u_pow()
         return np.sum(w * (self._base.std_density(np.multiply.outer(z, t)) * t), axis=-1)
 
     def std_cdf(self, z):
-        if self.generator.kind == "normal":
-            r = np.abs(z)
-            lower = special.ndtr(-r) + r * self._normal_h(r)
-            return np.where(z > 0, 1.0 - lower, lower)
+        if self.law.kind != "inverse_gamma":
+            return sum(p * self._normal_cdf(z / s) for p, s in self._scales)
         t, w = self._u_pow()
         return np.sum(w * self._base.std_cdf(np.multiply.outer(z, t)), axis=-1)
 

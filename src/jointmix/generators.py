@@ -6,9 +6,10 @@ and ``W >= 0`` an independent mixing scale.  That representation is exactly
 the class valid in every dimension, so all couplings built on top of these
 generators work for arbitrary ``n``.
 
-``psi`` has a closed form for every kind: exponentials for normal, Cauchy
-and discrete mixtures, and a modified Bessel function of the second kind for
-the inverse-gamma mixing laws of Student-t and Pearson VII.
+``psi`` has a closed form for each mixing law: a weighted sum of
+exponentials when W is degenerate or discrete (normal, discrete mixtures), and
+a modified Bessel function of the second kind when W is inverse gamma
+(Student-t, Cauchy through K_{1/2}, Pearson VII).
 
 ``special`` is the shared handle on ``scipy.special``.  It is loaded on first
 attribute access, so importing jointmix, and code paths that need no special
@@ -174,8 +175,9 @@ class CharacteristicGenerator:
 class MixingLaw:
     """The nonnegative scale ``W`` in the representation ``sqrt(W) * Z``.
 
-    kind ``degenerate`` is W == 1; ``inverse_gamma`` carries (a, b) for
-    shape/scale; ``discrete`` carries atoms of (probability, value).
+    kind ``degenerate`` is W == 1, carried as the single atom (1, 1);
+    ``inverse_gamma`` carries (a, b) for shape/scale; ``discrete`` carries
+    atoms of (probability, value).
     """
 
     kind: str
@@ -218,11 +220,9 @@ def mixing_law(g: CharacteristicGenerator) -> MixingLaw:
     with nu = inf it is the normal law, W == 1; Cauchy is the nu = 1 case;
     Pearson VII with exponent N and scale m mixes over InvGamma(N - 1/2, m/2).
     """
-    if g.kind == "normal":
-        return MixingLaw("degenerate")
+    if g.kind == "normal" or (g.kind == "student_t" and g.nu == math.inf):
+        return MixingLaw("degenerate", atoms=((1.0, 1.0),))
     if g.kind == "student_t":
-        if g.nu == math.inf:
-            return MixingLaw("degenerate")
         return MixingLaw("inverse_gamma", a=g.nu / 2.0, b=g.nu / 2.0)
     if g.kind == "cauchy":
         return MixingLaw("inverse_gamma", a=0.5, b=0.5)
@@ -234,24 +234,19 @@ def mixing_law(g: CharacteristicGenerator) -> MixingLaw:
 
 
 def cg_eval(g: CharacteristicGenerator, u: float) -> float:
-    """Evaluate ``psi(u)`` for ``u >= 0``.
+    """Evaluate ``psi(u) = E[exp(-u W / 2)]`` for ``u >= 0``.
 
-    Normal and Student-t with nu = inf: exp(-u/2).  Cauchy: exp(-sqrt(u)).  Discrete mixtures: the
-    weighted sum of normal generators.  Student-t / Pearson VII:
-    E[exp(-u W / 2)] for W ~ InvGamma(a, b), which is
-    2 (x/2)^a K_a(x) / Gamma(a) with x = sqrt(2 b u).
+    A degenerate or discrete W gives sum p exp(-u w / 2) over its atoms.
+    W ~ InvGamma(a, b) gives 2 (x/2)^a K_a(x) / Gamma(a) with x = sqrt(2 b u),
+    which is exp(-sqrt(u)) for Cauchy (a = b = 1/2).
     """
     u = float(u)
     if u < 0:
         raise GeneratorError("cg_eval requires u >= 0")
-    if g.kind == "cauchy":
-        return math.exp(-math.sqrt(u))
-    if g.kind == "discrete_mixture":
-        return float(sum(w * math.exp(-u * s * s / 2.0) for w, s in g.atoms))
     law = mixing_law(g)
-    if law.kind == "degenerate":
-        return math.exp(-u / 2.0)
-    return _inverse_gamma_laplace(law.a, law.b, u)
+    if law.kind == "inverse_gamma":
+        return _inverse_gamma_laplace(law.a, law.b, u)
+    return float(sum(p * math.exp(-u * w / 2.0) for p, w in law.atoms))
 
 
 def _inverse_gamma_laplace(a: float, b: float, u: float) -> float:

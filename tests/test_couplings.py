@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from jointmix.couplings import (
 )
 from jointmix.families import Elliptical, SlashElliptical, Uniform
 from jointmix.generators import CharacteristicGenerator
+from jointmix.mixability import JM, jm_verdict_elliptical
 from jointmix.oracle import verify_constant_sum
 
 NORMAL = CharacteristicGenerator.normal()
@@ -66,13 +68,33 @@ def test_polygon_inequality_violation_raises():
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(0.1, 10.0), min_size=2, max_size=8))
 def test_polygon_closure_property(sig):
-    if sum(sig) < 2 * max(sig):
+    exact = [Fraction(s) for s in sig]
+    if sum(exact) < 2 * max(exact):
         with pytest.raises(PolygonInequalityError):
             polygon_unit_vectors(sig)
         return
     vs = polygon_unit_vectors(sig)
     assert np.max(np.abs(np.linalg.norm(vs, axis=1) - 1.0)) <= 1e-12
     assert np.linalg.norm(np.asarray(sig) @ vs) <= 1e-10 * sum(sig)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=7),
+    st.integers(0, 7),
+)
+def test_boundary_jm_verdict_is_exact_and_samples(others, at):
+    # the largest scale is the rounded sum of the others, so the exact sign of
+    # sum - 2 max is decided by rounding errors alone
+    sig = list(others)
+    sig.insert(at % (len(sig) + 1), sum(others))
+    exact = [Fraction(s) for s in sig]
+    res = jm_verdict_elliptical(sig, [0.0] * len(sig), NORMAL)
+    assert (res.verdict == JM) == (sum(exact) >= 2 * max(exact))
+    assert res.replay() == res.verdict
+    if res.verdict == JM:
+        batch = sample_jm_elliptical([0.0] * len(sig), sig, NORMAL, 64, 3)
+        assert np.abs(batch.row_sums()).max() <= 1e-12 * sum(sig)
 
 
 def test_polygon_deterministic():

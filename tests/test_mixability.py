@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,12 +49,24 @@ def test_scale_inequality_rejects_bad_input():
         check_scale_inequality([])
     with pytest.raises(ValueError):
         check_scale_inequality([1.0, -1.0])
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            check_scale_inequality([bad, 1.0, 1.0])
+
+
+def test_scale_inequality_exact_beyond_overflow():
+    # both sides of sum >= 2 max overflow to inf in plain float arithmetic
+    assert check_scale_inequality([1e308, 1e308, 1e308])
+    assert not check_scale_inequality([1.7e308, 0.5e308, 0.5e308])
+    assert check_scale_inequality([1.7e308, 1.7e308])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=10))
 def test_scale_inequality_matches_definition(thetas):
-    assert check_scale_inequality(thetas) == (sum(thetas) >= 2 * max(thetas))
+    # exact rational arithmetic on the given doubles: no rounding in the oracle
+    exact = [Fraction(t) for t in thetas]
+    assert check_scale_inequality(thetas) == (sum(exact) >= 2 * max(exact))
 
 
 # --- location-scale iff criterion ------------------------------------------

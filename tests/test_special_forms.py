@@ -65,8 +65,11 @@ CASES = [
             lambda x, loc, scale, nu=nu: stats.t.cdf(x, nu, loc, scale),
             lambda p, loc, scale, nu=nu: stats.t.ppf(p, nu, loc, scale),
         )
-        for nu in (0.5, 1.5, 3.0, 30.0, np.inf)
+        for nu in (0.5, 1.5, 3.0, 30.0)
     ],
+    # nu = inf mixes over W == 1: the normal law.  stats.t(df=inf) is
+    # stdtr(inf, .), 9.4e-14 off mpmath at z = -27.9 where ndtr is 2.4e-14 off
+    (CharacteristicGenerator.student_t(np.inf), stats.norm.pdf, stats.norm.cdf, stats.norm.ppf),
     (CharacteristicGenerator.cauchy(), stats.cauchy.pdf, stats.cauchy.cdf, stats.cauchy.ppf),
     (CharacteristicGenerator.discrete_mixture(ATOMS), _mixture_pdf, _mixture_cdf, _mixture_ppf),
     *[_pearson_vii_case(N, m) for N, m in ((0.75, 1.0), (2.0, 1.0), (2.5, 3.0), (200.0, 1.5))],
@@ -82,6 +85,23 @@ def test_elliptical_matches_scipy_stats(g, pdf, cdf, ppf):
     np.testing.assert_allclose(fam.density(x), pdf(x, MU, SIGMA), rtol=RTOL, atol=0)
     np.testing.assert_allclose(fam.cdf(x), cdf(x, MU, SIGMA), rtol=RTOL, atol=0)
     np.testing.assert_allclose(fam.quantile(P), ppf(P, MU, SIGMA), rtol=RTOL, atol=1e-300)
+
+
+@pytest.mark.parametrize(
+    "g, same",
+    [
+        (CharacteristicGenerator.student_t(1.0), CharacteristicGenerator.cauchy()),
+        (CharacteristicGenerator.student_t(np.inf), CharacteristicGenerator.normal()),
+    ],
+    ids=["t1_cauchy", "t_inf_normal"],
+)
+def test_student_t_limits_share_mixing_law_numerics(g, same):
+    # equal mixing laws give the same closed forms, bit for bit
+    fam, ref = Elliptical(MU, SIGMA, g), Elliptical(MU, SIGMA, same)
+    x = MU + X
+    assert np.array_equal(fam.density(x), ref.density(x))
+    assert np.array_equal(fam.cdf(x), ref.cdf(x))
+    assert np.array_equal(fam.quantile(P), ref.quantile(P))
 
 
 @pytest.mark.parametrize("p", [1e-12, 1e-6, 0.5, 1 - 1e-6, 1 - 1e-12])
