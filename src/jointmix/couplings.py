@@ -51,7 +51,10 @@ class PolygonInequalityError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _triangle_vectors(s1, s2, s3):
-    # vertices (0,0), (s1,0), (x,y); edge vectors normalised
+    # vertices (0,0), (s1,0), (x,y); edge vectors normalised.  Sides scaled
+    # by the power of two at their maximum (exact) cannot overflow squared
+    scale = math.ldexp(1.0, -math.frexp(max(s1, s2, s3))[1])
+    s1, s2, s3 = s1 * scale, s2 * scale, s3 * scale
     x = (s1 * s1 + s3 * s3 - s2 * s2) / (2.0 * s1)
     y = math.sqrt(max(s3 * s3 - x * x, 0.0))
     p2 = np.array([x, y])

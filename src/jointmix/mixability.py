@@ -106,13 +106,11 @@ def check_scale_inequality(thetas) -> bool:
 
 def _scale_certificate(thetas, iff: bool) -> dict:
     thetas = [float(t) for t in thetas]
-    return {
-        "type": "scale_inequality",
-        "thetas": thetas,
-        "total": _rounded_sum(thetas),
-        "twice_max": 2.0 * max(thetas),
-        "iff": iff,
-    }
+    sums = {"total": _rounded_sum(thetas), "twice_max": 2.0 * max(thetas)}
+    # strict JSON has no infinity: an overflowed sum is "inf", as nu is in
+    # CharacteristicGenerator.spec()
+    sums = {k: v if math.isfinite(v) else "inf" for k, v in sums.items()}
+    return {"type": "scale_inequality", "thetas": thetas, **sums, "iff": iff}
 
 
 def jm_verdict_unimodal_location_scale(base: UnivariateFamily, thetas, mus) -> MixabilityVerdict:

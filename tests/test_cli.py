@@ -175,6 +175,23 @@ def test_infinite_nu_output_is_strict_json(tmp_path, capsys):
     assert g == CharacteristicGenerator.student_t(math.inf)
 
 
+def test_overflowed_certificate_sums_are_strict_json(capsys):
+    code, out, _ = run(capsys, "check", "--family", "normal", "--sigmas", "1e308,1e308,1e308")
+    assert code == EXIT_JM
+    cert = _strict_json(out)["certificate"]
+    assert cert["total"] == cert["twice_max"] == "inf"
+
+
+def test_sample_huge_scales_writes_finite_rows(tmp_path, capsys):
+    # the law of cosines squared the sides, which overflows above ~1.3e154
+    path = tmp_path / "y.csv"
+    code, _, _ = run(capsys, "sample", "--sigmas", "1e200,1e200,1e200", "-N", "2", "-o", str(path))
+    assert code == 0
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(rows))
+    assert np.all(np.abs(rows.sum(axis=1)) <= 1e-15 * np.abs(rows).sum(axis=1))
+
+
 def test_sample_matrix_rejects_with_sum(tmp_path, capsys):
     path = tmp_path / "m.csv"
     code, out, err = run(capsys, "sample", "--coupling", "matrix", "--with-sum", "-N", "2",

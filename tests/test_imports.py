@@ -57,3 +57,16 @@ def test_special_handle_reuses_an_imported_module():
         "assert special is scipy.special"
     )
     assert _loaded_after(code, []) == []
+
+
+def test_fixed_rule_families_load_no_quadrature_module():
+    code = (
+        "import numpy as np\n"
+        "from jointmix.families import GeneralizedLogistic, SlashElliptical\n"
+        "from jointmix.generators import CharacteristicGenerator\n"
+        "p = np.array([1e-6, 0.3, 0.9])\n"
+        "for fam in (GeneralizedLogistic(1.5, 2.0),\n"
+        "            SlashElliptical(0.0, 1.0, CharacteristicGenerator.student_t(3.0), 1.5)):\n"
+        "    fam.cdf(fam.quantile(p))"
+    )
+    assert _loaded_after(code, ["scipy.integrate", "scipy.interpolate"]) == []

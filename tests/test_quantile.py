@@ -1,8 +1,9 @@
-"""The quantile solver and the closed-form slash-normal law.
+"""The quantile solver, the closed-form slash laws and the generalized
+logistic rules.
 
 The solver's answers are checked against the family's own CDF, to a few ulp
 of p where the CDF is that accurate, and against references computed apart
-from jointmix (quadrature, Brent's method) where it is not.
+from jointmix (quadrature, Brent's method, mpmath) where it is not.
 """
 
 import math
@@ -14,7 +15,15 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize, special
 
 from jointmix import oracle
-from jointmix.families import SSMN, FamilyError, SkewNormal, SlashElliptical, UnivariateFamily
+from jointmix.families import (
+    SSMN,
+    Elliptical,
+    FamilyError,
+    GeneralizedLogistic,
+    SkewNormal,
+    SlashElliptical,
+    UnivariateFamily,
+)
 from jointmix.generators import CharacteristicGenerator
 
 NORMAL = CharacteristicGenerator.normal()
@@ -146,6 +155,13 @@ def test_nan_cdf_raises_family_error(nan_from):
         oracle.discretize([fam], 100)
 
 
+def test_law_narrower_than_the_doubles_raises_family_error():
+    # near -3e7 doubles are 3.7e-9 apart and the law spans about 300 of
+    # them; the grid once returned here missed p by up to 6.4e-3
+    with pytest.raises(FamilyError, match="too coarse"):
+        SkewNormal(-3e7, 1e-6, -1e4).quantile(MIDPOINTS)
+
+
 def test_unbracketable_probability_raises_family_error():
     # a CDF that never reaches 1: the ladder runs to overflow and gives up
     class Short(_BrokenCdf):
@@ -237,3 +253,133 @@ def test_slash_discrete_mixture_closed_form_matches_quadrature(q):
     np.testing.assert_allclose(fam.cdf(z), cdf_ref, rtol=1e-12, atol=0)
     np.testing.assert_allclose(fam.density(z), dens_ref, rtol=1e-12, atol=0)
     assert fam.cdf(0.0) == 0.5
+
+
+# --- Student t and Pearson VII quantiles -------------------------------------
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        Elliptical(1.0, 2.0, CharacteristicGenerator.student_t(3.0)),
+        Elliptical(0.0, 1.0, CharacteristicGenerator.student_t(4.0)),
+        Elliptical(0.5, 2.0, CharacteristicGenerator.student_t(0.5)),
+        Elliptical(0.0, 1.0, CharacteristicGenerator.pearson_vii(2.0, 1.0)),
+    ],
+    ids=["t3", "t4", "t0.5", "pvii2"],
+)
+def test_student_t_quantiles_within_rounding_of_own_cdf(fam):
+    # stdtrit alone missed by 2.6e-14 at nu = 4
+    q = fam.quantile(MIDPOINTS)
+    assert np.all(np.diff(q) > 0)
+    assert np.max(np.abs(np.asarray(fam.cdf(q)) - MIDPOINTS)) <= 2 * EPS
+
+
+# --- slash with an inverse-gamma W against mpmath ------------------------------
+
+def _mp_t_slash(nu, q, r):
+    """(density, F(-r)) of slash Student t(nu) at r >= 0, from
+    H = c (1-Y)^(a+b) 2F1(1, a+b; a+1; Y) / (2a) in 40-digit mpmath."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    nu, q, r = mp.mpf(nu), mp.mpf(q), mp.mpf(r)
+    a, b = (q + 1) / 2, (nu - q) / 2
+    c = mp.gamma((nu + 1) / 2) / (mp.gamma(nu / 2) * mp.sqrt(nu * mp.pi))
+    y = r * r / (nu + r * r)
+    h = c / (2 * a) * (1 - y) ** (a + b) * mp.hyp2f1(1, a + b, a + 1, y)
+    tail = mp.betainc(nu / 2, mp.mpf(1) / 2, 0, nu / (nu + r * r), regularized=True) / 2
+    return float(q * h), float(tail + r * h)
+
+
+SLASH_T_R = np.geomspace(1e-8, 1e6, 15)
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.0, 2.0, 3.0, 5.0, 30.0, 200.0])
+def test_slash_student_t_matches_mpmath(nu):
+    # q = nu and q = nu - 2 are the logarithmic cases of the series in 1 - Y.
+    # The 200-node rule this replaced missed by 6.7e-7 at nu = 30, q = 1.5,
+    # r = 10 and by 5.4e-4 for slash-Cauchy, q = 1, at r = 1e4
+    gen = CharacteristicGenerator.student_t(nu)
+    for q in (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0):
+        fam = SlashElliptical(0.0, 1.0, gen, q)
+        ref = np.array([_mp_t_slash(nu, q, r) for r in SLASH_T_R])
+        np.testing.assert_allclose(fam.density(-SLASH_T_R), ref[:, 0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(fam.cdf(-SLASH_T_R), ref[:, 1], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(fam.cdf(SLASH_T_R), 1.0 - ref[:, 1], rtol=1e-15, atol=1e-16)
+
+
+def test_slash_pearson_vii_is_scaled_slash_t():
+    # Pearson VII(2, 1) is Student t(3) scaled by 1/sqrt(3)
+    fam = SlashElliptical(0.0, 1.0, CharacteristicGenerator.pearson_vii(2.0, 1.0), 2.0)
+    k = math.sqrt(3.0)
+    ref = np.array([_mp_t_slash(3.0, 2.0, k * r) for r in SLASH_T_R])
+    np.testing.assert_allclose(fam.density(-SLASH_T_R), k * ref[:, 0], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(fam.cdf(-SLASH_T_R), ref[:, 1], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("q", [50.0, 200.0, 1000.0])
+@pytest.mark.parametrize("nu", [0.5, 3.0, 200.0, 1e6])
+def test_slash_student_t_large_q_finite_and_monotone(nu, q):
+    # a warning fails the test (filterwarnings = error)
+    fam = SlashElliptical(0.0, 1.0, CharacteristicGenerator.student_t(nu), q)
+    x = np.concatenate([-np.geomspace(1e300, 1e-8, 200), [0.0], np.geomspace(1e-8, 1e300, 200)])
+    f, dens = np.asarray(fam.cdf(x)), np.asarray(fam.density(x))
+    assert np.all(np.isfinite(f)) and np.all(np.isfinite(dens)) and np.all(dens >= 0)
+    assert np.all(np.diff(f) >= 0) and f[0] >= 0 and f[-1] <= 1
+    assert fam.cdf(-np.inf) == 0.0 and fam.cdf(np.inf) == 1.0 and fam.density(np.inf) == 0.0
+    assert np.all(np.diff(fam.quantile(MIDPOINTS)) > 0)
+
+
+# --- generalized logistic with beta != 1 --------------------------------------
+
+GL_ALPHAS = [0.5, 1.0, 1.5, 3.0]
+GL_BETAS = [0.3, 0.5, 0.8, 1.5, 2.0, 3.0]
+
+
+def _mp_gl_lower(alpha, beta, xs):
+    """F(-x) for x >= 0 by mpmath quadrature: of g(x^beta) on [0, 1], where
+    it is smooth in x, and of t^(1/beta - 1) g(t) from t = x^beta on."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    a, b = mp.mpf(alpha), mp.mpf(beta)
+
+    def g(t):
+        return mp.exp(-a * t) / (1 + mp.exp(-t)) ** (2 * a)
+
+    def tail(t):
+        return mp.quad(lambda u: u ** (1 / b - 1) * g(u), [t, 2 * t, 2 * t + 1, mp.inf])
+
+    half = b * mp.quad(lambda x: g(x**b), [0, 1]) + tail(mp.mpf(1))
+    return np.array([float(tail(mp.mpf(x) ** b) / (2 * half)) for x in xs])
+
+
+@pytest.mark.parametrize("beta", GL_BETAS)
+@pytest.mark.parametrize("alpha", GL_ALPHAS)
+def test_generalized_logistic_matches_mpmath(alpha, beta):
+    # the tabulated CDF this replaced gave F(-5) = 0.4818 for alpha = 1,
+    # beta = 0.3, where the law has 0.4454
+    fam = GeneralizedLogistic(alpha, beta)
+    probs = [0.45, 0.1, 1e-3, 1e-7, 1e-11, 1e-15]
+    # either side of where the rules change: t = 1/4 and alpha t = 8
+    edges = [t ** (1.0 / beta) * f for t in (0.25, 8.0 / alpha) for f in (1 - 1e-9, 1 + 1e-9)]
+    xs = np.concatenate([-np.asarray(fam.quantile(probs)), edges])
+    ref = _mp_gl_lower(alpha, beta, xs)
+    keep = ref >= 1e-15
+    np.testing.assert_allclose(fam.cdf(-xs[keep]), ref[keep], rtol=1e-13, atol=0)
+    np.testing.assert_allclose(fam.cdf(xs[keep]), 1.0 - ref[keep], rtol=1e-15, atol=1e-16)
+
+
+@pytest.mark.parametrize("beta", GL_BETAS)
+@pytest.mark.parametrize("alpha", GL_ALPHAS)
+def test_generalized_logistic_grid_as_close_as_doubles_allow(alpha, beta):
+    # The CDF moves by up to 23 ulp(p) from one double x to the next at
+    # alpha = beta = 3, and for beta < 1 up to 15 ulp(p) from one double
+    # t = |x|^beta to the next, so no grid of doubles meets 8 ulp(p) at every
+    # midpoint.  A point misses by at most 8 ulp(p) plus what the CDF moves
+    # over the 4 doubles around it.
+    fam = GeneralizedLogistic(alpha, beta)
+    q = fam.quantile(MIDPOINTS)
+    assert np.all(np.diff(q) > 0)
+    miss = np.abs(np.asarray(fam.cdf(q)) - MIDPOINTS)
+    u = 2 * np.spacing(np.abs(q))
+    jump = np.abs(np.asarray(fam.cdf(q + u)) - np.asarray(fam.cdf(q - u)))
+    assert np.all(miss <= 8 * np.spacing(MIDPOINTS) + jump)
