@@ -883,7 +883,9 @@ class SlashElliptical(_SymmetricLocationScale):
 
     def _kummer(self, r):
         a = 0.5 * (self.q + 1.0)
-        return special.hyp1f1(a, a + 1.0, -0.5 * r * r) / (2.0 * a * _SQRT_2PI)
+        k = special.hyp1f1(a, a + 1.0, -0.5 * r * r) / (2.0 * a * _SQRT_2PI)
+        # hyp1f1(a, a+1, -inf) is NaN for a != 1; K(r) -> 0 as r -> inf
+        return np.where(r < np.inf, k, 0.0)
 
     def _h(self, r):
         law = self.law

@@ -110,6 +110,33 @@ class RearrangementResult:
         )
 
 
+def _stable_argsort(keys):
+    """``np.argsort(keys, kind="stable")`` at the speed of the default sort.
+
+    The default (quicksort) order is right except inside runs of equal keys,
+    where it need not keep index order.  Those runs are put back in index
+    order by one sort of the unique integers run * m + index: the runs keep
+    their places, so subtracting run * m again leaves the indices.  NaN keys
+    sort last but never compare equal, so with any NaN present the stable
+    sort itself is used.
+    """
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if np.isnan(ranked[-1]):
+        return np.argsort(keys, kind="stable")
+    tie = ranked[1:] == ranked[:-1]
+    if not tie.any():
+        return order
+    m = keys.size
+    base = np.zeros(m, dtype=np.int64)
+    np.cumsum(~tie, out=base[1:])
+    base *= m
+    composite = base + order
+    composite.sort()
+    composite -= base
+    return composite
+
+
 def _ra_single(grid_vals, init_perms, max_sweeps, tol):
     """One RA run from the given initial permutations.
 
@@ -131,12 +158,12 @@ def _ra_single(grid_vals, init_perms, max_sweeps, tol):
         row_sums = x.sum(axis=1)
         for j in range(n):
             others = row_sums - x[:, j]
-            order = np.argsort(others, kind="stable")
+            order = _stable_argsort(others)
             new_col = np.empty(m)
             new_col[order] = sorted_cols[j]
             new_perm = np.empty(m, dtype=int)
             new_perm[order] = desc_idx
-            if not np.array_equal(new_perm, perms[j]):
+            if not changed and not np.array_equal(new_perm, perms[j]):
                 changed = True
             row_sums = others + new_col
             x[:, j] = new_col
@@ -155,6 +182,15 @@ def _ra_single(grid_vals, init_perms, max_sweeps, tol):
     return np.array(perms), spread, std, sweeps, converged, trajectory
 
 
+def _precedes(spread, perms, best_spread, best_perms):
+    """(spread, perms) < (best_spread, best_perms), with the permutations
+    compared lexicographically: at their first differing entry."""
+    if spread != best_spread:
+        return spread < best_spread
+    diff = np.flatnonzero(perms != best_perms)
+    return diff.size > 0 and perms.flat[diff[0]] < best_perms.flat[diff[0]]
+
+
 def ra_minimize(
     grid: QuantileGrid,
     max_sweeps: int = 500,
@@ -166,7 +202,7 @@ def ra_minimize(
 
     Restart 0 starts from the sorted (comonotone) arrangement; the rest from
     independent random column shuffles.  Ties between restarts break toward
-    the lexicographically smallest permutation tuple.
+    the lexicographically smallest permutations, read row by row.
     """
     if grid.m < 2 or grid.n < 2:
         raise ValueError("need m >= 2 and n >= 2")
@@ -180,10 +216,9 @@ def ra_minimize(
         perms, spread, std, sweeps, converged, traj = _ra_single(
             grid.values, init, max_sweeps, tol
         )
-        key = (spread, tuple(perms.ravel()))
-        if best is None or key < best[0]:
-            best = (key, perms, spread, std, sweeps, converged, traj)
-    _, perms, spread, std, sweeps, converged, traj = best
+        if best is None or _precedes(spread, perms, best[1], best[0]):
+            best = (perms, spread, std, sweeps, converged, traj)
+    perms, spread, std, sweeps, converged, traj = best
     return RearrangementResult(
         permutations=perms,
         row_sum_spread=spread,

@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jointmix import oracle
 from jointmix.couplings import sample_jm_elliptical
 from jointmix.families import BimodalPower, Elliptical, SkewNormal, Uniform, UnivariateFamily
 from jointmix.generators import CharacteristicGenerator
 from jointmix.oracle import (
     QuantileGrid,
+    RearrangementResult,
     brute_force_min_spread,
     discretize,
     ra_minimize,
@@ -150,6 +154,162 @@ def test_ra_refinement_for_jm_family():
 def test_ra_input_validation():
     with pytest.raises(ValueError):
         ra_minimize(QuantileGrid(np.zeros((4, 1))))
+
+
+# --- the RA's column sort ---------------------------------------------------
+
+# a few values, so that most draws hold runs of equal keys: signed zeros (equal
+# under ==), subnormal, tiny and huge magnitudes, infinities and NaN
+_KEY_POOL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.0, -1.0,
+             3.0, 1e308, -1.7976931348623157e308, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(_KEY_POOL), st.floats(allow_nan=True, allow_infinity=True)),
+        min_size=1,
+        max_size=300,
+    )
+)
+def test_stable_argsort_equals_numpy_stable_sort(keys):
+    keys = np.array(keys, dtype=float)
+    assert np.array_equal(oracle._stable_argsort(keys), np.argsort(keys, kind="stable"))
+
+
+@pytest.mark.parametrize("m", [2, 17, 1000, 5000])
+def test_stable_argsort_tie_heavy_and_nan(m):
+    rng = np.random.default_rng(m)
+    ties = rng.integers(-3, 4, size=m).astype(float)
+    ties[rng.random(m) < 0.5] *= -1.0  # mixes 0.0 and -0.0
+    with_nan = ties.copy()
+    with_nan[rng.random(m) < 0.2] = np.nan
+    with_nan[-1] = np.nan
+    scaled = rng.standard_normal(m) * 10.0 ** rng.integers(-300, 300, size=m)
+    for keys in (ties, with_nan, scaled, np.zeros(m), np.full(m, np.nan)):
+        assert np.array_equal(oracle._stable_argsort(keys), np.argsort(keys, kind="stable"))
+
+
+def _reference_ra_single(grid_vals, init_perms, max_sweeps, tol):
+    """The RA sweep as first written, on numpy's stable argsort."""
+    m, n = grid_vals.shape
+    perms = [p.copy() for p in init_perms]
+    cols = [grid_vals[perms[j], j] for j in range(n)]
+    x = np.column_stack(cols)
+    desc_idx = np.arange(m - 1, -1, -1)
+    sorted_cols = [np.sort(grid_vals[:, j])[::-1] for j in range(n)]
+    trajectory = [float(np.var(x.sum(axis=1)))]
+    sweeps = 0
+    converged = False
+    for sweeps in range(1, max_sweeps + 1):
+        changed = False
+        row_sums = x.sum(axis=1)
+        for j in range(n):
+            others = row_sums - x[:, j]
+            order = np.argsort(others, kind="stable")
+            new_col = np.empty(m)
+            new_col[order] = sorted_cols[j]
+            new_perm = np.empty(m, dtype=int)
+            new_perm[order] = desc_idx
+            if not np.array_equal(new_perm, perms[j]):
+                changed = True
+            row_sums = others + new_col
+            x[:, j] = new_col
+            perms[j] = new_perm
+        var = float(np.var(row_sums))
+        trajectory.append(var)
+        if not changed:
+            converged = True
+            break
+        if trajectory[-2] - var < tol:
+            converged = True
+            break
+    row_sums = x.sum(axis=1)
+    spread = float(row_sums.max() - row_sums.min())
+    std = float(np.std(row_sums))
+    return np.array(perms), spread, std, sweeps, converged, trajectory
+
+
+def _reference_ra_minimize(grid, restarts, seed, max_sweeps=500, tol=1e-12):
+    """Best of the restarts by (spread, tuple of every permutation entry)."""
+    rng = np.random.default_rng(seed)
+    best = None
+    for r in range(restarts):
+        if r == 0:
+            init = [np.arange(grid.m) for _ in range(grid.n)]
+        else:
+            init = [rng.permutation(grid.m) for _ in range(grid.n)]
+        perms, spread, std, sweeps, converged, traj = _reference_ra_single(
+            grid.values, init, max_sweeps, tol
+        )
+        key = (spread, tuple(perms.ravel()))
+        if best is None or key < best[0]:
+            best = (key, perms, spread, std, sweeps, converged, traj)
+    _, perms, spread, std, sweeps, converged, traj = best
+    return RearrangementResult(perms, spread, std, sweeps, converged, restarts, traj)
+
+
+def _assert_bit_identical(res, ref):
+    assert np.array_equal(res.permutations, ref.permutations)
+    assert res.permutations.dtype == ref.permutations.dtype
+    for name in ("row_sum_spread", "row_sum_stddev", "variance_trajectory"):
+        got, want = np.asarray(getattr(res, name)), np.asarray(getattr(ref, name))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+    assert (res.iterations, res.converged, res.restarts) == (ref.iterations, ref.converged,
+                                                             ref.restarts)
+
+
+def _ra_reference_grid(kind, n):
+    if kind == "uniform":
+        return [Uniform(-0.5 * j, 1.0 + j) for j in range(n)]
+    if kind == "bimodal":
+        return [BimodalPower(1.0, 1)] * n
+    if kind == "student_t":
+        return [Elliptical(0.1 * j, 1.0 + j / n, CharacteristicGenerator.student_t(4.0))
+                for j in range(n)]
+    return [Uniform(0.0, 1.0)] * n  # identical columns: many tied row sums
+
+
+@pytest.mark.parametrize("n", [3, 10])
+@pytest.mark.parametrize("kind", ["uniform", "bimodal", "student_t", "identical"])
+def test_ra_matches_stable_sort_reference(kind, n):
+    grid = discretize(_ra_reference_grid(kind, n), 1000)
+    seed = 31 * n + len(kind)
+    _assert_bit_identical(ra_minimize(grid, restarts=4, seed=seed),
+                          _reference_ra_minimize(grid, 4, seed))
+
+
+def test_ra_restart_tie_break_matches_reference():
+    # every restart of an antithetic pair reaches spread 0, so the permutations
+    # alone pick the winner
+    grid = discretize([Uniform(0, 1)] * 2, 8)
+    spreads = {ra_minimize(grid, restarts=1, seed=s).row_sum_spread for s in range(3)}
+    assert spreads == {0.0}
+    for seed in range(5):
+        _assert_bit_identical(ra_minimize(grid, restarts=10, seed=seed),
+                              _reference_ra_minimize(grid, 10, seed))
+
+
+def test_ra_overflowing_row_sums_match_reference(monkeypatch):
+    # rows that draw +1.5e308 twice and -1.5e308 twice sum to inf + (-inf) in
+    # numpy's pairwise sum, so some sort keys are NaN and the others are not
+    m, big = 40, 1.5e308
+    pos = np.r_[np.zeros(m // 2), np.full(m // 2, big)]
+    neg = np.r_[np.full(m // 2, -big), np.zeros(m // 2)]
+    grid = QuantileGrid(np.column_stack([pos, pos, neg, neg] + [np.linspace(-1, 1, m)] * 6))
+    mixed = []
+    helper = oracle._stable_argsort
+
+    def spy(keys):
+        mixed.append(0 < np.isnan(keys).sum() < keys.size)
+        return helper(keys)
+
+    monkeypatch.setattr(oracle, "_stable_argsort", spy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = ra_minimize(grid, restarts=3, seed=4)
+        ref = _reference_ra_minimize(grid, 3, seed=4)
+    assert any(mixed)
+    _assert_bit_identical(res, ref)
 
 
 # --- brute force ------------------------------------------------------------

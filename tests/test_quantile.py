@@ -255,6 +255,24 @@ def test_slash_discrete_mixture_closed_form_matches_quadrature(q):
     assert fam.cdf(0.0) == 0.5
 
 
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.5])
+@pytest.mark.parametrize(
+    "gen",
+    [NORMAL, CharacteristicGenerator.discrete_mixture([(0.25, 0.5), (0.75, 2.0)])],
+    ids=["normal", "discrete"],
+)
+def test_slash_kummer_form_limits_at_infinity(gen, q):
+    # hyp1f1(a, a+1, -inf) is NaN for a = (q+1)/2 != 1: the limits need their
+    # own branch, which must leave finite points in the same array untouched
+    fam = SlashElliptical(0.3, 2.0, gen, q)
+    assert fam.cdf(-np.inf) == 0.0 and fam.cdf(np.inf) == 1.0
+    assert fam.density(-np.inf) == 0.0 and fam.density(np.inf) == 0.0
+    x = np.array([-np.inf, -1e6, 0.3, 1e6, np.inf])
+    assert np.array_equal(fam.cdf(x)[1:-1], [fam.cdf(v) for v in x[1:-1]])
+    assert np.array_equal(fam.cdf(x)[[0, -1]], [0.0, 1.0])
+    assert np.array_equal(fam.density(x)[[0, -1]], [0.0, 0.0])
+
+
 # --- Student t and Pearson VII quantiles -------------------------------------
 
 @pytest.mark.parametrize(
