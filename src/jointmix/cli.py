@@ -16,19 +16,8 @@ import math
 import sys
 import warnings
 
-import numpy as np
-
-from . import couplings, mixability, oracle
-from .families import (
-    BimodalMoment,
-    BimodalPower,
-    Elliptical,
-    GeneralizedLogistic,
-    KotzType,
-    MixtureFamily,
-    Uniform,
-    family_from_spec,
-)
+# a scale verdict needs no more: each command imports numpy and the rest itself
+from . import mixability
 from .generators import CharacteristicGenerator, GeneratorError
 
 EXIT_JM = 0
@@ -87,6 +76,9 @@ def _generator(spec):
 # ---------------------------------------------------------------------------
 
 def _example_verdict(name, args, cfg):
+    from .families import BimodalMoment, BimodalPower, GeneralizedLogistic
+    from .families import KotzType, MixtureFamily, Uniform
+
     r = int(cfg.get("r", args.r))
     a = float(cfg.get("a", args.a))
     m = int(cfg.get("m", args.m))
@@ -150,6 +142,11 @@ def cmd_check(args):
 # ---------------------------------------------------------------------------
 
 def cmd_sample(args):
+    import numpy as np
+
+    from . import couplings
+    from .families import Elliptical, family_from_spec
+
     cfg = _load_config(args)
     kind = cfg.get("coupling", args.coupling)
     seed = int(cfg.get("seed", args.seed))
@@ -225,6 +222,10 @@ def _echo_config(args, cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args):
+    import numpy as np
+
+    from . import oracle
+
     try:
         with open(args.input, newline="") as fh:
             header = next(csv.reader(fh), [])
@@ -285,6 +286,8 @@ def _grid_size_check(*axes):
 
 
 def cmd_explore(args):
+    from .families import BimodalMoment
+
     out = args.output
     rows = []
     if args.mode == "skew":
@@ -336,6 +339,9 @@ def cmd_explore(args):
 # ---------------------------------------------------------------------------
 
 def cmd_oracle(args):
+    from . import oracle
+    from .families import BimodalPower, Uniform, family_from_spec
+
     cfg = _load_config(args)
     fam_specs = cfg.get("families")
     if fam_specs:

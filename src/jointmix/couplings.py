@@ -19,7 +19,7 @@ import numpy as np
 
 from .families import Elliptical, UnivariateFamily
 from .generators import CharacteristicGenerator, mixing_law
-from .mixability import check_scale_inequality
+from .mixability import _rounded_sum, check_scale_inequality
 from . import oracle
 
 __all__ = [
@@ -270,7 +270,7 @@ def _polygon_draws(mus, sigmas, g: CharacteristicGenerator, count: int, seed: in
     if q is not None:
         centered = centered / (rng.uniform(size=count) ** (1.0 / q))[:, None]
     meta = {"generator": g.spec(), "sigmas": sig.tolist(), "mus": mus.tolist()}
-    return mus[None, :] + centered, float(mus.sum()), meta
+    return mus[None, :] + centered, _rounded_sum(mus.tolist()), meta
 
 
 def sample_jm_elliptical(mus, sigmas, g: CharacteristicGenerator, count: int, seed: int) -> SampleBatch:

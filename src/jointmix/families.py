@@ -866,8 +866,9 @@ class SlashElliptical(_SymmetricLocationScale):
     reflects.  Only H depends on the mixing law W of Z.  For a degenerate or
     discrete W, H is the p-weighted sum over the atoms w of
     K(r / sqrt(w)) / sqrt(w), with Kummer's form, finite at r = 0 and for
-    large q, K(r) = 1F1(a; a+1; -r^2/2) / (2 a sqrt(2 pi)), a = (q+1)/2.  An
-    inverse-gamma W makes Z a scaled Student t (see ``_t_slash_h``).
+    large q, K(r) = 1F1(a; a+1; -r^2/2) / (2 a sqrt(2 pi)), a = (q+1)/2, and
+    far out its power form (``_kummer_tail``).  An inverse-gamma W makes Z a
+    scaled Student t (see ``_t_slash_h``).
     """
 
     def __init__(self, mu: float, sigma: float, generator: CharacteristicGenerator, q: float):
@@ -880,27 +881,43 @@ class SlashElliptical(_SymmetricLocationScale):
         self.center = self.mu
         self._base = Elliptical(0.0, sigma, generator)
         self.law, self._scales = self._base.law, self._base._scales
+        # Q(a, r^2/2) <= e^-a(u - 1 - log u), u = r^2/2a (Chernoff), is below
+        # e^-40 from r = sqrt(40) + sqrt(40 + 2a) on; r / s is past it for every atom
+        t0 = math.sqrt(40.0) + math.sqrt(41.0 + self.q)
+        self._r_tail = t0 * max((s for _, s in self._scales), default=0.0)
 
     def _kummer(self, r):
         a = 0.5 * (self.q + 1.0)
-        k = special.hyp1f1(a, a + 1.0, -0.5 * r * r) / (2.0 * a * _SQRT_2PI)
-        # hyp1f1(a, a+1, -inf) is NaN for a != 1; K(r) -> 0 as r -> inf
-        return np.where(r < np.inf, k, 0.0)
+        return special.hyp1f1(a, a + 1.0, -0.5 * r * r) / (2.0 * a * _SQRT_2PI)
 
-    def _h(self, r):
+    def _kummer_tail(self, r, e):
+        """r^e K(r) = r^-2a gamma(a, r^2/2) 2^a r^e / (2 sqrt(2 pi)) = c r^-k,
+        k = q + 1 - e, where gamma(a, r^2/2) = Gamma(a); c is in log space."""
+        a, k = 0.5 * (self.q + 1.0), self.q + 1.0 - e
+        log_c = special.gammaln(a) + a * math.log(2.0) - math.log(2.0 * _SQRT_2PI)
+        if log_c <= 0.0:
+            return math.exp(log_c) * r**-k
+        return (math.exp(log_c / k) / r) ** k  # c > 1 only for k >= 1
+
+    def _h(self, r, e=0):
+        """r^e H(r): H for the density (e = 0), r H for the CDF (e = 1)."""
         law = self.law
         if law.kind == "inverse_gamma":
             k = math.sqrt(law.a / law.b)
-            return k * _t_slash_h(2.0 * law.a, self.q, k * r)
-        return sum(p * self._kummer(r / s) / s for p, s in self._scales)
+            h = k * _t_slash_h(2.0 * law.a, self.q, k * r)
+            return np.where(r < np.inf, r, 0.0) * h if e else h  # r H(r) -> 0
+        tail = r >= self._r_tail
+        near, far = np.where(tail, 0.0, r), np.where(tail, r, np.inf)
+        h = sum(p * self._kummer(near / s) / s for p, s in self._scales)
+        far_h = sum(p * self._kummer_tail(far / s, e) / s ** (1 - e) for p, s in self._scales)
+        return np.where(tail, far_h, near * h if e else h)
 
     def std_density(self, z):
         return self.q * self._h(np.abs(z))
 
     def std_cdf(self, z):
         r = np.abs(z)
-        # r H(r) -> 0 as r -> inf
-        lower = self._base.std_cdf(-r) + np.where(r < np.inf, r, 0.0) * self._h(r)
+        lower = self._base.std_cdf(-r) + self._h(r, 1)
         return np.where(z > 0, 1.0 - lower, lower)
 
     def sample_with(self, rng, count):

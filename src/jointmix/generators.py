@@ -11,10 +11,10 @@ exponentials when W is degenerate or discrete (normal, discrete mixtures), and
 a modified Bessel function of the second kind when W is inverse gamma
 (Student-t, Cauchy through K_{1/2}, Pearson VII).
 
-``special`` is the shared handle on ``scipy.special``.  It is loaded on first
-attribute access, so importing jointmix, and code paths that need no special
-function (the scale-inequality verdict, sampling, verification), do not pay
-for it.
+``special`` is the shared handle on ``scipy.special``: the module
+``__getattr__`` finds it when first asked for, and it executes on its first
+attribute access.  This module imports neither numpy nor scipy, so the
+scale-inequality verdict, which needs neither, never loads them.
 """
 
 from __future__ import annotations
@@ -23,8 +23,10 @@ import importlib.util
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # annotations only: numpy loads in the functions that use it
+    import numpy as np
 
 __all__ = [
     "CharacteristicGenerator",
@@ -51,7 +53,11 @@ def _lazy_import(name: str):
     return module
 
 
-special = _lazy_import("scipy.special")
+def __getattr__(name):
+    # find_spec("scipy.special") imports scipy and numpy: not at import time
+    if name == "special":
+        return _lazy_import("scipy.special")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class GeneratorError(ValueError):
@@ -90,11 +96,10 @@ class CharacteristicGenerator:
         elif k == "discrete_mixture":
             if not self.atoms:
                 raise GeneratorError("discrete_mixture needs at least one atom")
-            ws = np.array([w for w, _ in self.atoms], dtype=float)
-            ss = np.array([s for _, s in self.atoms], dtype=float)
-            if np.any(ws <= 0) or np.any(ws > 1) or np.any(ss <= 0):
+            ws = [float(w) for w, _ in self.atoms]
+            if any(w <= 0 or w > 1 for w in ws) or any(float(s) <= 0 for _, s in self.atoms):
                 raise GeneratorError("atoms must have weights in (0,1] and scales > 0")
-            if abs(ws.sum() - 1.0) > 1e-12:
+            if abs(math.fsum(ws) - 1.0) > 1e-12:
                 raise GeneratorError("atom weights must sum to 1 within 1e-12")
         else:
             raise GeneratorError(f"unknown generator kind {k!r}")
@@ -186,12 +191,15 @@ class MixingLaw:
     atoms: tuple[tuple[float, float], ...] = field(default=())
 
     def sample(self, count: int, seed: int) -> np.ndarray:
+        import numpy as np
+
         if count <= 0:
             raise GeneratorError("count must be positive")
-        rng = np.random.default_rng(seed)
-        return self.sample_with(rng, count)
+        return self.sample_with(np.random.default_rng(seed), count)
 
     def sample_with(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        import numpy as np
+
         if self.kind == "degenerate":
             return np.ones(count)
         if self.kind == "inverse_gamma":
@@ -205,8 +213,11 @@ class MixingLaw:
 
     def density(self, w):
         """Density of W (inverse-gamma kinds only)."""
+        import numpy as np
+
         if self.kind != "inverse_gamma":
             raise GeneratorError("density available for inverse_gamma mixing only")
+        special = _lazy_import("scipy.special")
         z = np.asarray(w, dtype=float) / self.b
         with np.errstate(divide="ignore", invalid="ignore"):
             log_pdf = -(self.a + 1.0) * np.log(z) - special.gammaln(self.a) - 1.0 / z
@@ -257,6 +268,7 @@ def _inverse_gamma_laplace(a: float, b: float, u: float) -> float:
     if u == math.inf:
         return 0.0
     x = math.sqrt(2.0 * b * u)
+    special = _lazy_import("scipy.special")
     k_scaled = float(special.kve(a, x))  # K_a(x) e^x
     if math.isfinite(k_scaled):
         log_psi = math.log(2.0 * k_scaled) + a * math.log(0.5 * x) - x - special.gammaln(a)

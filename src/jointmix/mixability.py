@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .families import SkewNormal, UnivariateFamily
 from .generators import CharacteristicGenerator
+
+if TYPE_CHECKING:  # scale verdicts import neither numpy nor families
+    from .families import UnivariateFamily
 
 __all__ = [
     "JM",
@@ -75,24 +76,27 @@ class MixabilityVerdict:
 # ---------------------------------------------------------------------------
 
 def _scale_inequality_holds(thetas) -> bool:
-    # fsum is correctly rounded, so its sign is the sign of the exact sum
-    # sum(thetas) - 2 max(thetas) of the given doubles; max is subtracted
-    # twice rather than doubled, which could overflow
+    # the rounded exact sum has the sign of sum(thetas) - 2 max(thetas); max
+    # is subtracted twice rather than doubled, which could overflow
     top = max(thetas)
+    return _rounded_sum([*thetas, -top, -top]) >= 0.0
+
+
+def _rounded_sum(values: list) -> float:
+    # the exact sum rounded once, also past an overflowing partial sum; with
+    # a value not finite, inf, -inf or NaN (inf - inf), as sum() gives
+    if not all(map(math.isfinite, values)):
+        return sum(v for v in values if not math.isfinite(v))
     try:
-        return math.fsum(list(thetas) + [-top, -top]) >= 0.0
+        return math.fsum(values)
     except OverflowError:  # a partial sum above the largest double
         from fractions import Fraction  # imports decimal: kept off start-up
 
-        return sum(map(Fraction, thetas)) >= 2 * Fraction(top)
-
-
-def _rounded_sum(values) -> float:
-    # correctly rounded; inf when the positive terms overflow, as sum() gives
-    try:
-        return math.fsum(values)
-    except OverflowError:
-        return math.inf
+        total = sum(map(Fraction, values))
+        try:
+            return float(total)
+        except OverflowError:
+            return math.inf if total > 0 else -math.inf
 
 
 def check_scale_inequality(thetas) -> bool:
@@ -132,7 +136,7 @@ def jm_verdict_unimodal_location_scale(base: UnivariateFamily, thetas, mus) -> M
         )
     cert = _scale_certificate(thetas, iff=True)
     if check_scale_inequality(thetas):
-        return MixabilityVerdict(JM, joint_center=sum(mus), certificate=cert)
+        return MixabilityVerdict(JM, joint_center=_rounded_sum(mus), certificate=cert)
     return MixabilityVerdict(NOT_JM, certificate=cert)
 
 
@@ -148,7 +152,7 @@ def jm_verdict_elliptical(sigmas, mus, g: CharacteristicGenerator) -> Mixability
     cert = _scale_certificate(sigmas, iff=False)
     cert["generator"] = g.spec()
     if check_scale_inequality(sigmas):
-        return MixabilityVerdict(JM, joint_center=sum(mus), certificate=cert)
+        return MixabilityVerdict(JM, joint_center=_rounded_sum(mus), certificate=cert)
     cert["iff"] = True
     cert["unimodal_fallback"] = True
     return MixabilityVerdict(NOT_JM, certificate=cert)
@@ -231,6 +235,8 @@ def not_jm_unbounded_symmetric(families, a_grid) -> MixabilityVerdict:
 
 def default_a_grid(sigmas, points: int = 64):
     """Log-spaced search grid for the unbounded-symmetric certificate."""
+    import numpy as np
+
     sigmas = [float(s) for s in sigmas]
     lo = min(sigmas) / 10.0
     hi = 10.0 * max(sigmas)
@@ -244,6 +250,8 @@ def default_a_grid(sigmas, points: int = 64):
 def skewnormal_noncm_certificate(n: int, lam: float) -> MixabilityVerdict:
     """Not n-CM when F_Y(n E) + (n-1) P(Y < 0) < 1 for Y ~ SN(0, 1, |lam|),
     E the skew-normal mean.  At lam = 0 the bound can never fire."""
+    from .families import SkewNormal
+
     if n < 2:
         raise ValueError("n must be at least 2")
     lam_abs = abs(float(lam))

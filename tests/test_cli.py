@@ -303,6 +303,14 @@ def test_library_value_error_exits_usage(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_non_finite_scale_after_overflowing_sum_exits_usage(capsys, bad):
+    # the partial sum 1e308 + 1e308 overflows before the bad scale is reached
+    code, out, err = run(capsys, "check", "--family", "normal", "--sigmas", f"1e308,1e308,{bad}")
+    assert code == EXIT_USAGE
+    assert out == "" and "scales must be positive and finite" in err
+
+
 @pytest.mark.parametrize(
     "grid",
     ["0:1:0", "0:1:-1", "0:inf", "nan:1", "0:1:nan", "0:1e7", "0:1:1e-7", "a:b"],

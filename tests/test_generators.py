@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,21 @@ def test_bad_parameters_rejected():
         CharacteristicGenerator.discrete_mixture([(0.5, 1.0), (0.6, 2.0)])
     with pytest.raises(GeneratorError):
         sample_mixing(CharacteristicGenerator.normal(), 0, 1)
+
+
+@pytest.mark.parametrize(
+    "atoms, message",
+    [
+        ([], "discrete_mixture needs at least one atom"),
+        ([(0.0, 1.0), (1.0, 2.0)], "atoms must have weights in (0,1] and scales > 0"),
+        ([(1.5, 1.0)], "atoms must have weights in (0,1] and scales > 0"),
+        ([(0.5, 1.0), (0.5, -2.0)], "atoms must have weights in (0,1] and scales > 0"),
+        ([(0.5, 1.0), (0.5 + 2e-12, 2.0)], "atom weights must sum to 1 within 1e-12"),
+    ],
+)
+def test_discrete_mixture_atoms_checked_with_messages(atoms, message):
+    with pytest.raises(GeneratorError, match=re.escape(message)):
+        CharacteristicGenerator("discrete_mixture", atoms=tuple(atoms))
 
 
 def test_spec_round_trip():

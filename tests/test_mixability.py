@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -67,6 +68,46 @@ def test_scale_inequality_matches_definition(thetas):
     # exact rational arithmetic on the given doubles: no rounding in the oracle
     exact = [Fraction(t) for t in thetas]
     assert check_scale_inequality(thetas) == (sum(exact) >= 2 * max(exact))
+
+
+def _exact_sum(values) -> float:
+    total = sum(map(Fraction, values))
+    try:
+        return float(total)
+    except OverflowError:  # the exact sum rounds past the largest double
+        return math.inf if total > 0 else -math.inf
+
+
+def test_joint_center_is_the_exact_sum():
+    # a plain left-to-right sum gives 0.0
+    mus = [1e16, 1.0, -1e16]
+    assert jm_verdict_elliptical([1.0] * 3, mus, NORMAL).joint_center == 1.0
+    assert jm_verdict_unimodal_location_scale(Uniform(-1, 1), [1.0] * 3, mus).joint_center == 1.0
+    assert couplings.sample_jm_elliptical(mus, [1.0] * 3, NORMAL, 4, 0).joint_center == 1.0
+    # partial sums overflow, the exact sum does not
+    mus = [1.5e308, 1.5e308, -1.5e308]
+    assert jm_verdict_elliptical([1.0] * 3, mus, NORMAL).joint_center == 1.5e308
+    # past an overflowing partial sum, a value not finite gives the sum of the
+    # values not finite, as sum() does: NaN for inf - inf
+    for tail, want in [((math.inf,), math.inf), ((-math.inf,), -math.inf),
+                       ((math.inf, -math.inf), math.nan), ((math.nan,), math.nan)]:
+        mus = [1e308, 1e308, *tail]
+        ones = [1.0] * len(mus)
+        got = [jm_verdict_elliptical(ones, mus, NORMAL).joint_center,
+               jm_verdict_unimodal_location_scale(Uniform(-1, 1), ones, mus).joint_center,
+               couplings.sample_jm_elliptical(mus, ones, NORMAL, 4, 0).joint_center]
+        assert got == [want] * 3 or (math.isnan(want) and all(map(math.isnan, got)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=8))
+def test_joint_center_matches_fraction_sum(mus):
+    exact = _exact_sum(mus)
+    sigmas = [1.0] * len(mus)
+    assert jm_verdict_elliptical(sigmas, mus, T3).joint_center == exact
+    assert jm_verdict_unimodal_location_scale(Uniform(-1, 1), sigmas, mus).joint_center == exact
+    batch = couplings.sample_jm_slash(mus, sigmas, NORMAL, 1.5, 2, 0)
+    assert batch.sidecar()["joint_center"] == exact
 
 
 # --- location-scale iff criterion ------------------------------------------

@@ -211,6 +211,10 @@ def test_slash_normal_closed_form_matches_quadrature(q):
     fam = SlashElliptical(0.0, 1.0, NORMAL, q)
     z = np.array(SLASH_Z)
     cdf_ref = [_slash_cdf_by_quadrature(v, q) for v in z]
+    if q == 100.0:
+        # the quadrature underflows to 0 at z = -1e4, where F is the
+        # subnormal 1.36e-322: that one value comes from mpmath
+        cdf_ref[SLASH_Z.index(-1e4)] = float(_mp_kummer_slash(q, [(1.0, 1.0)], 1e4)[1])
     dens_ref = [_slash_density_by_quadrature(v, q) for v in z]
     np.testing.assert_allclose(fam.cdf(z), cdf_ref, rtol=1e-12, atol=0)
     np.testing.assert_allclose(fam.density(z), dens_ref, rtol=1e-12, atol=0)
@@ -271,6 +275,41 @@ def test_slash_kummer_form_limits_at_infinity(gen, q):
     assert np.array_equal(fam.cdf(x)[1:-1], [fam.cdf(v) for v in x[1:-1]])
     assert np.array_equal(fam.cdf(x)[[0, -1]], [0.0, 1.0])
     assert np.array_equal(fam.density(x)[[0, -1]], [0.0, 0.0])
+
+
+def _mp_kummer_slash(q, atoms, r):
+    """(density, F(-r)) of slash-normal scale mixtures at r >= 1e3 from
+    K(t) = 1F1(a; a+1; -t^2/2) / (2 a sqrt(2 pi)) in 30-digit mpmath, without
+    Phi(-t) < 1e-50000."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    a = (mp.mpf(q) + 1) / 2
+    dens = cdf = 0
+    for w, s in atoms:
+        t = mp.mpf(r) / s
+        k = mp.hyp1f1(a, a + 1, -t * t / 2) / (2 * a * mp.sqrt(2 * mp.pi))
+        dens, cdf = dens + w * q * k / s, cdf + w * t * k
+    return dens, cdf
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.5])
+@pytest.mark.parametrize(
+    "atoms", [[(1.0, 1.0)], [(0.25, 0.5), (0.75, 2.0)]], ids=["normal", "discrete"]
+)
+def test_slash_kummer_far_tail_matches_mpmath(q, atoms):
+    # -r^2/2 overflowed past r = 1.3e154 (NaN and a warning), and hyp1f1
+    # underflowed long before r H(r) does
+    gen = CharacteristicGenerator.discrete_mixture(atoms) if len(atoms) > 1 else NORMAL
+    fam = SlashElliptical(0.0, 1.0, gen, q)
+    r = np.geomspace(1e3, 1e300, 30)
+    dens, cdf = np.asarray(fam.density(-r)), np.asarray(fam.cdf(-r))
+    assert np.all(np.isfinite(dens)) and np.all(np.isfinite(cdf))
+    assert np.all(np.diff(dens) <= 0) and np.all(np.diff(cdf) <= 0) and np.all(cdf >= 0)
+    assert np.array_equal(fam.cdf(r), 1.0 - cdf)
+    for got, ref in zip(np.column_stack([dens, cdf]), (_mp_kummer_slash(q, atoms, v) for v in r)):
+        for g, want in zip(got, ref):
+            if want >= 1e-290:
+                assert abs(g / want - 1) <= 1e-12
 
 
 # --- Student t and Pearson VII quantiles -------------------------------------
