@@ -18,7 +18,7 @@ import warnings
 
 # a scale verdict needs no more: each command imports numpy and the rest itself
 from . import mixability
-from .generators import CharacteristicGenerator, GeneratorError
+from .generators import CharacteristicGenerator
 
 EXIT_JM = 0
 EXIT_NOT_JM = 1
@@ -66,8 +66,8 @@ def _generator(spec):
     try:
         if isinstance(spec, dict):
             return CharacteristicGenerator.from_spec(spec)
-        return CharacteristicGenerator.parse(spec)
-    except (GeneratorError, KeyError, IndexError, ValueError) as exc:
+        return CharacteristicGenerator.parse(str(spec))
+    except (TypeError, ValueError) as exc:  # GeneratorError is a ValueError
         raise CliError(f"bad generator: {exc}") from exc
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .families import Elliptical, UnivariateFamily
 from .generators import CharacteristicGenerator, mixing_law
-from .mixability import _rounded_sum, check_scale_inequality
+from .mixability import _joint_center, check_scale_inequality
 from . import oracle
 
 __all__ = [
@@ -258,10 +258,10 @@ def _polygon_draws(mus, sigmas, g: CharacteristicGenerator, count: int, seed: in
     """mu + sqrt(W) L z, divided by U^(1/q) when q is given, with L row i =
     sigma_i v_i; W, then z, then U are drawn from one generator seeded by
     ``seed``.  Returns the draws and the metadata shared by both couplings."""
-    mus = np.asarray([float(m) for m in mus])
+    mus = [float(m) for m in mus]
     sig = np.asarray([float(s) for s in sigmas])
-    if mus.size != sig.size:
-        raise ValueError("mus and sigmas must have equal length")
+    center = _joint_center(mus, sig.size)
+    mus = np.asarray(mus)
     L = sig[:, None] * polygon_unit_vectors(sig)  # (n, 2)
     rng = np.random.default_rng(seed)
     w = mixing_law(g).sample_with(rng, count)
@@ -270,7 +270,7 @@ def _polygon_draws(mus, sigmas, g: CharacteristicGenerator, count: int, seed: in
     if q is not None:
         centered = centered / (rng.uniform(size=count) ** (1.0 / q))[:, None]
     meta = {"generator": g.spec(), "sigmas": sig.tolist(), "mus": mus.tolist()}
-    return mus[None, :] + centered, _rounded_sum(mus.tolist()), meta
+    return mus[None, :] + centered, center, meta
 
 
 def sample_jm_elliptical(mus, sigmas, g: CharacteristicGenerator, count: int, seed: int) -> SampleBatch:

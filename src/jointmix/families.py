@@ -460,8 +460,8 @@ class MixtureFamily(UnivariateFamily):
         if len(components) != len(weights) or not components:
             raise FamilyError("components/weights mismatch")
         w = np.asarray(weights, dtype=float)
-        if np.any(w <= 0):
-            raise FamilyError("weights must be positive")
+        if not np.all((w > 0) & (w < np.inf)):
+            raise FamilyError("weights must be positive and finite")
         self.components = list(components)
         self.weights = w / w.sum()  # renormalize user-supplied weights
         self.unimodal = bool(unimodal)
@@ -689,7 +689,7 @@ class SkewNormal(UnivariateFamily):
     unimodal = True
 
     def __init__(self, mu: float, sigma: float, lam: float):
-        if sigma <= 0:
+        if not sigma > 0:
             raise FamilyError("sigma must be positive")
         self.mu = float(mu)
         self.sigma = float(sigma)
@@ -719,52 +719,27 @@ class SkewNormal(UnivariateFamily):
         return {"family": "skew_normal", "mu": self.mu, "sigma": self.sigma, "lam": self.lam}
 
 
-class SSMN(UnivariateFamily):
+class SSMN(MixtureFamily):
     """Skew scale mixture of normal with a finite discrete mixing law H.
 
-    Conditionally on V = v the law is SN(mu, sigma^2 v^2, lambda v), which is
-    exactly how sampling proceeds.
+    Conditionally on V = v the law is SN(mu, sigma^2 v^2, lambda v): the
+    mixture has one such skew-normal component per atom of H.
     """
-
-    unimodal = True
 
     def __init__(self, mu: float, sigma: float, lam: float, atoms):
         # atoms: iterable of (value v > 0, probability)
-        if sigma <= 0:
-            raise FamilyError("sigma must be positive")
         atoms = [(float(v), float(p)) for v, p in atoms]
-        if not atoms or any(v <= 0 or p <= 0 for v, p in atoms):
+        if not atoms or not all(v > 0 and p > 0 for v, p in atoms):
             raise FamilyError("H atoms need positive values and probabilities")
-        total = sum(p for _, p in atoms)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(sum(p for _, p in atoms) - 1.0) <= 1e-9:
             raise FamilyError("H probabilities must sum to 1")
         self.mu = float(mu)
         self.sigma = float(sigma)
         self.lam = float(lam)
         self.atoms = atoms
-        self.symmetric = self.lam == 0.0
-        self.center = self.mu
-
-    def _conditional(self, v: float) -> SkewNormal:
-        return SkewNormal(self.mu, self.sigma * v, self.lam * v)
-
-    def _density(self, x):
-        return sum(p * self._conditional(v).density(x) for v, p in self.atoms)
-
-    def _cdf(self, x):
-        return sum(p * self._conditional(v).cdf(x) for v, p in self.atoms)
-
-    def sample_with(self, rng, count):
-        vals = np.array([v for v, _ in self.atoms])
-        probs = np.array([p for _, p in self.atoms])
-        idx = rng.choice(len(vals), p=probs, size=count)
-        out = np.empty(count)
-        for k, v in enumerate(vals):
-            mask = idx == k
-            n_k = int(mask.sum())
-            if n_k:
-                out[mask] = self._conditional(v).sample_with(rng, n_k)
-        return out
+        components = [SkewNormal(self.mu, self.sigma * v, self.lam * v) for v, _ in atoms]
+        super().__init__(components, [p for _, p in atoms], symmetric=self.lam == 0.0,
+                         unimodal=True, center=self.mu)
 
     def spec(self):
         return {

@@ -64,6 +64,24 @@ class GeneratorError(ValueError):
     """Invalid generator parameters or evaluation outside the domain."""
 
 
+# kind -> its parameter fields, in the order of the constructor and of the
+# compact CLI syntax (which has none for the atoms of a discrete mixture)
+_KIND_FIELDS = {
+    "normal": (),
+    "student_t": ("nu",),
+    "cauchy": (),
+    "pearson_vii": ("shape", "scale"),
+    "discrete_mixture": ("atoms",),
+}
+
+
+def _spec_value(v):
+    if isinstance(v, tuple):
+        return [list(atom) for atom in v]
+    # strict JSON has no infinity; from_spec reads "inf" through float()
+    return v if math.isfinite(v) else "inf"
+
+
 @dataclass(frozen=True)
 class CharacteristicGenerator:
     """A scalar generator ``psi`` with ``psi(0) = 1``.
@@ -80,35 +98,26 @@ class CharacteristicGenerator:
     atoms: tuple[tuple[float, float], ...] = field(default=())
 
     def __post_init__(self):
+        # every check is written so that NaN fails it
         k = self.kind
-        if k == "normal":
-            pass
-        elif k == "student_t":
-            if self.nu is None or self.nu <= 0:
-                raise GeneratorError("student_t needs nu > 0")
-        elif k == "cauchy":
-            pass
-        elif k == "pearson_vii":
-            if self.shape is None or self.shape <= 0.5:
-                raise GeneratorError("pearson_vii needs shape > 1/2")
-            if self.scale is None or self.scale <= 0:
-                raise GeneratorError("pearson_vii needs scale > 0")
-        elif k == "discrete_mixture":
+        if k not in _KIND_FIELDS:
+            raise GeneratorError(f"unknown generator kind {k!r}")
+        if k == "student_t" and not (self.nu is not None and self.nu > 0):
+            raise GeneratorError("student_t needs nu > 0")
+        if k == "pearson_vii":
+            if not (self.shape is not None and 0.5 < self.shape < math.inf):
+                raise GeneratorError("pearson_vii needs a finite shape > 1/2")
+            if not (self.scale is not None and 0 < self.scale < math.inf):
+                raise GeneratorError("pearson_vii needs a finite scale > 0")
+        if k == "discrete_mixture":
             if not self.atoms:
                 raise GeneratorError("discrete_mixture needs at least one atom")
             ws = [float(w) for w, _ in self.atoms]
-            if any(w <= 0 or w > 1 for w in ws) or any(float(s) <= 0 for _, s in self.atoms):
-                raise GeneratorError("atoms must have weights in (0,1] and scales > 0")
-            if abs(math.fsum(ws) - 1.0) > 1e-12:
+            scales = [float(s) for _, s in self.atoms]
+            if not all(0 < w <= 1 for w in ws) or not all(0 < s < math.inf for s in scales):
+                raise GeneratorError("atoms must have weights in (0,1] and scales > 0, finite")
+            if not abs(math.fsum(ws) - 1.0) <= 1e-12:
                 raise GeneratorError("atom weights must sum to 1 within 1e-12")
-        else:
-            raise GeneratorError(f"unknown generator kind {k!r}")
-
-    # All supported kinds are normal variance mixtures, hence valid in any
-    # dimension.
-    @property
-    def max_dimension(self) -> float:
-        return math.inf
 
     # --- convenience constructors -------------------------------------
     @classmethod
@@ -131,49 +140,30 @@ class CharacteristicGenerator:
     def discrete_mixture(cls, atoms) -> "CharacteristicGenerator":
         return cls("discrete_mixture", atoms=tuple((float(w), float(s)) for w, s in atoms))
 
-    # --- JSON config schema -------------------------------------------
+    # --- JSON config schema and compact CLI syntax --------------------
     def spec(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.kind == "student_t":
-            # strict JSON has no infinity; from_spec reads "inf" through float()
-            d["nu"] = self.nu if math.isfinite(self.nu) else "inf"
-        elif self.kind == "pearson_vii":
-            d["shape"] = self.shape
-            d["scale"] = self.scale
-        elif self.kind == "discrete_mixture":
-            d["atoms"] = [[w, s] for w, s in self.atoms]
-        return d
+        fields = _KIND_FIELDS[self.kind]
+        return {"kind": self.kind, **{f: _spec_value(getattr(self, f)) for f in fields}}
 
     @classmethod
     def from_spec(cls, d: dict) -> "CharacteristicGenerator":
         kind = d.get("kind")
-        if kind == "normal":
-            return cls.normal()
-        if kind == "student_t":
-            return cls.student_t(d["nu"])
-        if kind == "cauchy":
-            return cls.cauchy()
-        if kind == "pearson_vii":
-            return cls.pearson_vii(d["shape"], d["scale"])
-        if kind == "discrete_mixture":
-            return cls.discrete_mixture(d["atoms"])
-        raise GeneratorError(f"unknown generator kind {kind!r}")
+        if kind not in _KIND_FIELDS:
+            raise GeneratorError(f"unknown generator kind {kind!r}")
+        fields = _KIND_FIELDS[kind]
+        if set(d) != {"kind", *fields}:
+            raise GeneratorError(f"a {kind} spec has exactly the fields {['kind', *fields]}")
+        return getattr(cls, kind)(*(d[f] for f in fields))
 
     @classmethod
     def parse(cls, text: str) -> "CharacteristicGenerator":
         """Parse compact CLI syntax, e.g. ``normal``, ``student_t:3``,
         ``pearson_vii:2:1``."""
-        parts = text.split(":")
-        kind = parts[0]
-        if kind == "normal":
-            return cls.normal()
-        if kind == "cauchy":
-            return cls.cauchy()
-        if kind == "student_t":
-            return cls.student_t(float(parts[1]))
-        if kind == "pearson_vii":
-            return cls.pearson_vii(float(parts[1]), float(parts[2]))
-        raise GeneratorError(f"cannot parse generator {text!r}")
+        kind, *values = text.split(":")
+        fields = _KIND_FIELDS.get(kind)
+        if fields is None or "atoms" in fields or len(values) != len(fields):
+            raise GeneratorError(f"cannot parse generator {text!r}")
+        return getattr(cls, kind)(*map(float, values))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Verdicts are three-valued (JM / NotJM / Unknown).  Sufficient conditions never
 emit NotJM and necessary conditions never emit JM; only the unimodal
 location-scale criterion is an iff and may emit both.  Every certificate
 stores enough numeric inputs that ``replay_certificate`` reproduces the
-verdict bit for bit.
+verdict bit for bit, and the builders take their verdict from that replay,
+so each decision rule is written once.
 """
 
 from __future__ import annotations
@@ -100,16 +101,15 @@ def _rounded_sum(values: list) -> float:
 
 
 def check_scale_inequality(thetas) -> bool:
+    return replay_certificate(_scale_certificate(thetas, iff=True)) == JM
+
+
+def _scale_certificate(thetas, iff: bool) -> dict:
     thetas = [float(t) for t in thetas]
     if not thetas:
         raise ValueError("need at least one scale")
     if not all(0.0 < t < math.inf for t in thetas):
         raise ValueError("scales must be positive and finite")
-    return _scale_inequality_holds(thetas)
-
-
-def _scale_certificate(thetas, iff: bool) -> dict:
-    thetas = [float(t) for t in thetas]
     sums = {"total": _rounded_sum(thetas), "twice_max": 2.0 * max(thetas)}
     # strict JSON has no infinity: an overflowed sum is "inf", as nu is in
     # CharacteristicGenerator.spec()
@@ -117,27 +117,36 @@ def _scale_certificate(thetas, iff: bool) -> dict:
     return {"type": "scale_inequality", "thetas": thetas, **sums, "iff": iff}
 
 
+def _joint_center(mus, count: int) -> float:
+    """The exact sum of ``count`` finite locations, rounded once."""
+    mus = [float(m) for m in mus]
+    if len(mus) != count:
+        raise ValueError("scales and locations must have equal length")
+    if not all(map(math.isfinite, mus)):
+        raise ValueError("locations must be finite")
+    return _rounded_sum(mus)
+
+
+def _replayed(cert: dict, joint_center: float | None = None) -> MixabilityVerdict:
+    """The verdict that ``cert`` replays to; a JM verdict carries the
+    joint center."""
+    verdict = replay_certificate(cert)
+    return MixabilityVerdict(verdict, joint_center if verdict == JM else None, cert)
+
+
 def jm_verdict_unimodal_location_scale(base: UnivariateFamily, thetas, mus) -> MixabilityVerdict:
     """Same unimodal-symmetric base, scales theta_i: JM iff the scale
     inequality holds.  A non-qualifying base yields Unknown, not a guess."""
     thetas = [float(t) for t in thetas]
-    mus = [float(m) for m in mus]
-    if len(thetas) != len(mus):
-        raise ValueError("thetas and mus must have equal length")
+    center = _joint_center(mus, len(thetas))
     if not (base.symmetric and base.unimodal):
-        return MixabilityVerdict(
-            UNKNOWN,
-            certificate={
-                "type": "hypothesis_violation",
-                "reason": "base must be unimodal and symmetric",
-                "symmetric": bool(base.symmetric),
-                "unimodal": bool(base.unimodal),
-            },
-        )
-    cert = _scale_certificate(thetas, iff=True)
-    if check_scale_inequality(thetas):
-        return MixabilityVerdict(JM, joint_center=_rounded_sum(mus), certificate=cert)
-    return MixabilityVerdict(NOT_JM, certificate=cert)
+        return _replayed({
+            "type": "hypothesis_violation",
+            "reason": "base must be unimodal and symmetric",
+            "symmetric": bool(base.symmetric),
+            "unimodal": bool(base.unimodal),
+        })
+    return _replayed(_scale_certificate(thetas, iff=True), center)
 
 
 def jm_verdict_elliptical(sigmas, mus, g: CharacteristicGenerator) -> MixabilityVerdict:
@@ -146,16 +155,11 @@ def jm_verdict_elliptical(sigmas, mus, g: CharacteristicGenerator) -> Mixability
     unimodal-symmetric densities, so the iff criterion for location-scale
     families applies and the verdict is NotJM."""
     sigmas = [float(s) for s in sigmas]
-    mus = [float(m) for m in mus]
-    if len(sigmas) != len(mus):
-        raise ValueError("sigmas and mus must have equal length")
-    cert = _scale_certificate(sigmas, iff=False)
-    cert["generator"] = g.spec()
-    if check_scale_inequality(sigmas):
-        return MixabilityVerdict(JM, joint_center=_rounded_sum(mus), certificate=cert)
-    cert["iff"] = True
-    cert["unimodal_fallback"] = True
-    return MixabilityVerdict(NOT_JM, certificate=cert)
+    center = _joint_center(mus, len(sigmas))
+    cert = {**_scale_certificate(sigmas, iff=False), "generator": g.spec()}
+    if replay_certificate(cert) != JM:
+        cert.update(iff=True, unimodal_fallback=True)
+    return _replayed(cert, center)
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +203,7 @@ def not_jm_bounded_symmetric(families, a: float) -> MixabilityVerdict:
         "central_mass_threshold": 1.0 / (2.0 * n + 1.0),
         "any_central_mass_exceeds": any(c > 1.0 / (2.0 * n + 1.0) for c in central),
     }
-    if all(v <= threshold for v in cdf_values):
-        return MixabilityVerdict(NOT_JM, certificate=cert)
-    return MixabilityVerdict(UNKNOWN, certificate=cert)
+    return _replayed(cert)
 
 
 def not_jm_unbounded_symmetric(families, a_grid) -> MixabilityVerdict:
@@ -247,6 +249,10 @@ def default_a_grid(sigmas, points: int = 64):
 # Skew-normal family certificates
 # ---------------------------------------------------------------------------
 
+def _skewnormal_bound(cdf_term: float, n: int, neg_prob: float) -> float:
+    return cdf_term + (n - 1) * neg_prob
+
+
 def skewnormal_noncm_certificate(n: int, lam: float) -> MixabilityVerdict:
     """Not n-CM when F_Y(n E) + (n-1) P(Y < 0) < 1 for Y ~ SN(0, 1, |lam|),
     E the skew-normal mean.  At lam = 0 the bound can never fire."""
@@ -259,7 +265,6 @@ def skewnormal_noncm_certificate(n: int, lam: float) -> MixabilityVerdict:
     mean = sn.mean()
     cdf_term = float(sn.cdf(n * mean))
     neg_prob = 0.5 - math.atan(lam_abs) / math.pi
-    bound = cdf_term + (n - 1) * neg_prob
     cert = {
         "type": "skew_normal",
         "n": int(n),
@@ -267,11 +272,9 @@ def skewnormal_noncm_certificate(n: int, lam: float) -> MixabilityVerdict:
         "mean": mean,
         "cdf_term": cdf_term,
         "neg_prob": neg_prob,
-        "bound": bound,
+        "bound": _skewnormal_bound(cdf_term, int(n), neg_prob),
     }
-    if bound < 1.0:
-        return MixabilityVerdict(NOT_JM, certificate=cert)
-    return MixabilityVerdict(UNKNOWN, certificate=cert)
+    return _replayed(cert)
 
 
 def skewnormal_threshold(n: int, lo: float = 0.0, hi: float = 1e8, tol: float = 1e-6) -> float:
@@ -298,17 +301,11 @@ def ssmn_noncm_certificate(n: int, lam: float, atoms) -> MixabilityVerdict:
     atoms = [(float(v), float(p)) for v, p in atoms]
     if any(v <= 0 for v, _ in atoms):
         raise ValueError("H atoms must be positive")
-    sub = []
-    all_fire = bool(atoms)
-    for v, p in atoms:
-        res = skewnormal_noncm_certificate(n, lam * v)
-        sub.append({"atom": v, "prob": p, "certificate": res.certificate})
-        if res.verdict != NOT_JM:
-            all_fire = False
-    cert = {"type": "ssmn", "n": int(n), "lam": float(lam), "atoms": sub}
-    if all_fire:
-        return MixabilityVerdict(NOT_JM, certificate=cert)
-    return MixabilityVerdict(UNKNOWN, certificate=cert)
+    sub = [
+        {"atom": v, "prob": p, "certificate": skewnormal_noncm_certificate(n, lam * v).certificate}
+        for v, p in atoms
+    ]
+    return _replayed({"type": "ssmn", "n": int(n), "lam": float(lam), "atoms": sub})
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +331,7 @@ def replay_certificate(cert: dict) -> str:
             return NOT_JM
         return UNKNOWN
     if kind == "skew_normal":
-        bound = cert["cdf_term"] + (cert["n"] - 1) * cert["neg_prob"]
+        bound = _skewnormal_bound(cert["cdf_term"], cert["n"], cert["neg_prob"])
         return NOT_JM if bound < 1.0 else UNKNOWN
     if kind == "ssmn":
         if cert["atoms"] and all(

@@ -240,32 +240,23 @@ def brute_force_min_spread(grid: QuantileGrid):
     if m > 8 or n > 3:
         raise ValueError("brute force limited to m <= 8, n <= 3")
     v = grid.values
-    if n == 2:
-        best_spread = math.inf
-        best_perm = None
-        for perm in itertools.permutations(range(m)):
-            s = v[:, 0] + v[list(perm), 1]
-            spread = float(s.max() - s.min())
-            if spread < best_spread:
-                best_spread = spread
-                best_perm = perm
-        perms = np.vstack([np.arange(m), np.array(best_perm)])
-        return best_spread, perms
-    # n == 3: vectorize the innermost permutation scan
+    # the last column is scanned for every permutation at once, for each
+    # permutation of the middle column, of which n = 2 has none
     all_perms = np.array(list(itertools.permutations(range(m))))
-    third = v[all_perms, 2]  # (m!, m)
+    last = v[all_perms, n - 1]  # (m!, m)
     best_spread = math.inf
     best = None
-    for perm2 in itertools.permutations(range(m)):
-        partial = v[:, 0] + v[list(perm2), 1]
-        sums = partial[None, :] + third
+    for middle in itertools.product(all_perms, repeat=n - 2):
+        partial = v[:, 0]
+        for j, perm in enumerate(middle, start=1):
+            partial = partial + v[perm, j]
+        sums = partial[None, :] + last
         spreads = sums.max(axis=1) - sums.min(axis=1)
         k = int(np.argmin(spreads))
         if spreads[k] < best_spread:
             best_spread = float(spreads[k])
-            best = (perm2, all_perms[k])
-    perms = np.vstack([np.arange(m), np.array(best[0]), best[1]])
-    return best_spread, perms
+            best = [*middle, all_perms[k]]
+    return best_spread, np.vstack([np.arange(m), *best])
 
 
 @dataclass

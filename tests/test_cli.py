@@ -311,6 +311,51 @@ def test_non_finite_scale_after_overflowing_sum_exits_usage(capsys, bad):
     assert out == "" and "scales must be positive and finite" in err
 
 
+_BAD_GENERATOR_CONFIGS = {
+    "nan_atom_weight": '{"sigmas": [1, 1], "generator": '
+                       '{"kind": "discrete_mixture", "atoms": [[NaN, 1.0]]}}',
+    "extra_field": '{"sigmas": [1, 1], "generator": {"kind": "normal", "nu": 3}}',
+    "atoms_not_a_list": '{"sigmas": [1, 1], "generator": {"kind": "discrete_mixture", "atoms": 5}}',
+    "generator_a_list": '{"sigmas": [1, 1], "generator": ["student_t", 3]}',
+}
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["student_t:nan", "pearson_vii:nan:1", "pearson_vii:2:nan", "pearson_vii:2:inf",
+     "normal:7", "student_t:3:4",
+     *(f"config:{name}" for name in _BAD_GENERATOR_CONFIGS)],
+)
+def test_bad_generator_exits_usage(tmp_path, capsys, family):
+    if family.startswith("config:"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(_BAD_GENERATOR_CONFIGS[family.removeprefix("config:")])
+        argv = ["check", "--config", str(cfg)]
+    else:
+        argv = ["check", "--family", family, "--sigmas", "1,1"]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("bad generator:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--sigmas", "1,1", "--mus", "inf,-inf"],
+        ["check", "--sigmas", "1,1", "--mus", "inf,0"],
+        ["check", "--sigmas", "3,1,1", "--mus", "nan,0,0"],
+        ["sample", "--sigmas", "1,1", "--mus", "inf,0", "-o", "{tmp}/x.csv"],
+        ["sample", "--coupling", "slash", "--sigmas", "1,1", "--mus", "0,-inf", "-o", "{tmp}/x.csv"],
+    ],
+    ids=["check_jm", "check_one", "check_notjm", "sample", "sample_slash"],
+)
+def test_non_finite_location_exits_usage(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *[a.replace("{tmp}", str(tmp_path)) for a in argv])
+    assert code == EXIT_USAGE
+    assert out == "" and "locations must be finite" in err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "grid",
     ["0:1:0", "0:1:-1", "0:inf", "nan:1", "0:1:nan", "0:1e7", "0:1:1e-7", "a:b"],

@@ -17,6 +17,7 @@ from jointmix.families import (
     SlashElliptical,
     SSMN,
     Uniform,
+    UnivariateFamily,
     family_from_spec,
 )
 from jointmix.generators import CharacteristicGenerator
@@ -236,6 +237,79 @@ def test_ssmn_density_is_conditional_mixture():
         SkewNormal(0.0, 2.0, 4.0).density(xs)
     )
     assert np.allclose(np.asarray(fam.density(xs)), expected, atol=1e-14)
+
+
+class _ReferenceSSMN(UnivariateFamily):
+    """SSMN as written before it became a MixtureFamily: a new SkewNormal per
+    atom on every call."""
+
+    def __init__(self, mu, sigma, lam, atoms):
+        self.mu, self.sigma, self.lam = float(mu), float(sigma), float(lam)
+        self.atoms = [(float(v), float(p)) for v, p in atoms]
+
+    def _conditional(self, v):
+        return SkewNormal(self.mu, self.sigma * v, self.lam * v)
+
+    def _density(self, x):
+        return sum(p * self._conditional(v).density(x) for v, p in self.atoms)
+
+    def _cdf(self, x):
+        return sum(p * self._conditional(v).cdf(x) for v, p in self.atoms)
+
+    def sample_with(self, rng, count):
+        vals = np.array([v for v, _ in self.atoms])
+        probs = np.array([p for _, p in self.atoms])
+        idx = rng.choice(len(vals), p=probs, size=count)
+        out = np.empty(count)
+        for k, v in enumerate(vals):
+            mask = idx == k
+            n_k = int(mask.sum())
+            if n_k:
+                out[mask] = self._conditional(v).sample_with(rng, n_k)
+        return out
+
+
+def _ssmn_laws(count, seed):
+    # random laws whose probabilities sum to exactly 1.0, the case in which
+    # renormalising the weights changes no bit
+    rng = np.random.default_rng(seed)
+    while count:
+        k = int(rng.integers(1, 6))
+        probs = rng.dirichlet(np.ones(k)).tolist()
+        if sum(probs) != 1.0 or np.sum(probs) != 1.0:
+            continue
+        atoms = list(zip(rng.uniform(0.1, 4.0, k).tolist(), probs))
+        yield float(rng.normal(0, 3)), float(rng.uniform(0.1, 4)), float(rng.normal(0, 30)), atoms
+        count -= 1
+
+
+def test_ssmn_mixture_matches_per_atom_reference():
+    xs = np.concatenate([np.linspace(-30, 30, 241), [-1e3, -1e-9, 0.0, 1e3]])
+    ps = np.concatenate([np.linspace(1e-6, 1 - 1e-6, 97), [1e-12, 0.5, 1 - 1e-12]])
+    laws = [*_ssmn_laws(40, 7), (0.3, 1.2, 1e3, [(0.6, 0.5), (1.2, 0.5)]),
+            (0.0, 1.0, 0.0, [(0.5, 0.25), (2.0, 0.75)])]
+    for mu, sigma, lam, atoms in laws:
+        fam, ref = SSMN(mu, sigma, lam, atoms), _ReferenceSSMN(mu, sigma, lam, atoms)
+        assert isinstance(fam, MixtureFamily)
+        for got, want in [(fam.cdf(xs), ref.cdf(xs)), (fam.density(xs), ref.density(xs)),
+                          (fam.quantile(ps), ref.quantile(ps)),
+                          (fam.sample(1000, 5), ref.sample(1000, 5))]:
+            assert np.array_equal(got, want)
+        assert fam.cdf(0.25) == ref.cdf(0.25) and fam.quantile(0.3) == ref.quantile(0.3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.5])
+def test_mixture_rejects_bad_weight_at_construction(bad):
+    with pytest.raises(FamilyError, match="weights must be positive and finite"):
+        MixtureFamily([Uniform(-1.0, 0.0), Uniform(0.0, 1.0)], [0.5, bad])
+    with pytest.raises(FamilyError, match="H atoms need|H probabilities"):
+        SSMN(0.0, 1.0, 2.0, [(1.0, 0.5), (2.0, bad)])
+
+
+def test_ssmn_weights_are_renormalised():
+    fam = SSMN(0.0, 1.0, 2.0, [(0.5, 0.3), (2.0, 0.7 + 1e-10)])
+    assert fam.weights.sum() == 1.0
+    assert fam.spec()["atoms"] == [[0.5, 0.3], [2.0, 0.7 + 1e-10]]
 
 
 def test_slash_cdf_against_quadrature():

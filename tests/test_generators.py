@@ -111,6 +111,10 @@ def test_bad_parameters_rejected():
         ([(1.5, 1.0)], "atoms must have weights in (0,1] and scales > 0"),
         ([(0.5, 1.0), (0.5, -2.0)], "atoms must have weights in (0,1] and scales > 0"),
         ([(0.5, 1.0), (0.5 + 2e-12, 2.0)], "atom weights must sum to 1 within 1e-12"),
+        ([(math.nan, 1.0)], "atoms must have weights in (0,1] and scales > 0"),
+        ([(0.5, 1.0), (math.nan, 2.0)], "atoms must have weights in (0,1] and scales > 0"),
+        ([(1.0, math.nan)], "atoms must have weights in (0,1] and scales > 0"),
+        ([(1.0, math.inf)], "atoms must have weights in (0,1] and scales > 0, finite"),
     ],
 )
 def test_discrete_mixture_atoms_checked_with_messages(atoms, message):
@@ -152,3 +156,42 @@ def test_student_t_infinite_nu_spec_reads_old_and_new_forms(nu):
     assert g.spec() == {"kind": "student_t", "nu": "inf"}
     assert CharacteristicGenerator.from_spec({"kind": "student_t", "nu": nu}) == g
     assert CharacteristicGenerator.student_t(3.0).spec() == {"kind": "student_t", "nu": 3.0}
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["student_t:nan", "pearson_vii:nan:1", "pearson_vii:2:nan", "pearson_vii:inf:1",
+     "pearson_vii:2:inf", "normal:7", "cauchy:1",
+     "student_t:3:4", "student_t", "pearson_vii:2", "discrete_mixture", "laplace"],
+)
+def test_parse_rejects_nan_and_field_counts(text):
+    with pytest.raises(GeneratorError):
+        CharacteristicGenerator.parse(text)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "student_t", "nu": math.nan},
+        {"kind": "student_t", "nu": "nan"},
+        {"kind": "pearson_vii", "shape": math.nan, "scale": 1.0},
+        {"kind": "pearson_vii", "shape": 2.0, "scale": math.nan},
+        {"kind": "discrete_mixture", "atoms": [[math.nan, 1.0]]},
+        {"kind": "normal", "nu": 3.0},
+        {"kind": "student_t"},
+        {"kind": "student_t", "nu": 3.0, "shape": 2.0},
+        {"kind": "laplace"},
+    ],
+)
+def test_from_spec_rejects_nan_and_field_sets(spec):
+    with pytest.raises(GeneratorError):
+        CharacteristicGenerator.from_spec(spec)
+
+
+def test_parse_reads_every_compact_kind():
+    for text, g in [("normal", CharacteristicGenerator.normal()),
+                    ("student_t:3", CharacteristicGenerator.student_t(3.0)),
+                    ("student_t:inf", CharacteristicGenerator.student_t(math.inf)),
+                    ("cauchy", CharacteristicGenerator.cauchy()),
+                    ("pearson_vii:2:1", CharacteristicGenerator.pearson_vii(2.0, 1.0))]:
+        assert CharacteristicGenerator.parse(text) == g

@@ -339,6 +339,44 @@ def test_brute_force_bimodal_positive_and_ra_matches():
     assert res.row_sum_spread >= spread - 1e-12
 
 
+def _reference_brute_force(grid):
+    # the two loops of earlier releases: n = 2 in Python, n = 3 with the last
+    # column vectorised
+    m, n, v = grid.m, grid.n, grid.values
+    if n == 2:
+        best_spread, best_perm = math.inf, None
+        for perm in itertools.permutations(range(m)):
+            s = v[:, 0] + v[list(perm), 1]
+            spread = float(s.max() - s.min())
+            if spread < best_spread:
+                best_spread, best_perm = spread, perm
+        return best_spread, np.vstack([np.arange(m), np.array(best_perm)])
+    all_perms = np.array(list(itertools.permutations(range(m))))
+    third = v[all_perms, 2]
+    best_spread, best = math.inf, None
+    for perm2 in itertools.permutations(range(m)):
+        sums = (v[:, 0] + v[list(perm2), 1])[None, :] + third
+        spreads = sums.max(axis=1) - sums.min(axis=1)
+        k = int(np.argmin(spreads))
+        if spreads[k] < best_spread:
+            best_spread, best = float(spreads[k]), (perm2, all_perms[k])
+    return best_spread, np.vstack([np.arange(m), np.array(best[0]), best[1]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_brute_force_matches_two_loop_reference(data):
+    m, n = data.draw(st.integers(2, 5)), data.draw(st.integers(2, 3))
+    # a few repeated values make ties between arrangements common
+    value = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.floats(-1e3, 1e3))
+    cells = data.draw(st.lists(value, min_size=m * n, max_size=m * n))
+    grid = QuantileGrid(np.sort(np.reshape(cells, (m, n)), axis=0))
+    spread, perms = brute_force_min_spread(grid)
+    ref_spread, ref_perms = _reference_brute_force(grid)
+    assert type(spread) is float and spread == ref_spread
+    assert perms.dtype == ref_perms.dtype and np.array_equal(perms, ref_perms)
+
+
 def test_brute_force_refuses_large_instances():
     with pytest.raises(ValueError):
         brute_force_min_spread(QuantileGrid(np.zeros((9, 2))))
