@@ -62,13 +62,18 @@ def _load_config(args):
     return cfg
 
 
-def _generator(spec):
+def _from_spec(build, spec, what):
+    """``build(spec)``; a malformed spec is a usage error, not a traceback."""
     try:
-        if isinstance(spec, dict):
-            return CharacteristicGenerator.from_spec(spec)
-        return CharacteristicGenerator.parse(str(spec))
-    except (TypeError, ValueError) as exc:  # GeneratorError is a ValueError
-        raise CliError(f"bad generator: {exc}") from exc
+        return build(spec)
+    except (TypeError, ValueError) as exc:  # GeneratorError, FamilyError are ValueErrors
+        raise CliError(f"bad {what}: {exc}") from exc
+
+
+def _generator(spec):
+    if isinstance(spec, dict):
+        return _from_spec(CharacteristicGenerator.from_spec, spec, "generator")
+    return _from_spec(CharacteristicGenerator.parse, str(spec), "generator")
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +175,8 @@ def cmd_sample(args):
                 batch = couplings.sample_jm_slash(mus, sigmas, g, q, count, seed)
         elif kind == "scale_mixture":
             base_spec = cfg.get("base")
-            base = family_from_spec(base_spec) if base_spec else Elliptical(
-                args.mu, args.sigma, g
-            )
+            base = (_from_spec(family_from_spec, base_spec, "family spec") if base_spec
+                    else Elliptical(args.mu, args.sigma, g))
             atoms = cfg.get("H", [[1.0, 1.0]])
             batch = couplings.sample_cm_scale_mixture(
                 base, atoms, int(cfg.get("n", args.n)), count, seed
@@ -345,7 +349,7 @@ def cmd_oracle(args):
     cfg = _load_config(args)
     fam_specs = cfg.get("families")
     if fam_specs:
-        fams = [family_from_spec(s) for s in fam_specs]
+        fams = _from_spec(lambda ds: [family_from_spec(d) for d in ds], fam_specs, "family spec")
     elif args.example == "2.3":
         fams = [BimodalPower(args.a, args.r)] * args.copies
     elif args.example == "uniform":

@@ -286,8 +286,8 @@ def sample_jm_elliptical(mus, sigmas, g: CharacteristicGenerator, count: int, se
 def sample_jm_slash(mus, sigmas, g: CharacteristicGenerator, q: float, count: int, seed: int) -> SampleBatch:
     """Slash-elliptical coupling: one shared U per joint draw divides a
     centered constant-sum elliptical vector, so sums stay at sum(mu)."""
-    if q <= 0:
-        raise ValueError("q must be positive")
+    if not 0 < q < math.inf:  # NaN fails too
+        raise ValueError("q must be positive and finite")
     data, center, meta = _polygon_draws(mus, sigmas, g, count, seed, float(q))
     meta["q"] = float(q)
     return SampleBatch(data=data, seed=seed, joint_center=center, kind="slash", metadata=meta)

@@ -72,18 +72,45 @@ def _scalar_like(x, out):
     return out
 
 
+def _finite(x) -> float:
+    """``x`` as a float; FamilyError unless finite (NaN fails the test)."""
+    x = float(x)
+    if not -math.inf < x < math.inf:
+        raise FamilyError("family parameters must be finite")
+    return x
+
+
+# spec name -> the family class that declares it
+_FAMILIES: dict[str, type] = {}
+
+
 class UnivariateFamily:
     """Base interface; subclasses fill in the numerics.
 
     ``density`` and ``cdf`` take scalars or arrays and return the same; the
     array-only ``_density`` and ``_cdf`` behind them are what subclasses
     write.
+
+    A concrete family declares its spec name, ``class Uniform(
+    UnivariateFamily, spec="uniform")``.  Its spec fields are then its
+    constructor's parameters, which it keeps as attributes of the same names:
+    ``spec()`` and ``family_from_spec`` both read that one declaration.
     """
 
     symmetric: bool = False
     unimodal: bool = False
     center: float = 0.0
     support: tuple[float, float] = (-np.inf, np.inf)
+    _spec_name: str | None = None
+
+    def __init_subclass__(cls, spec: str | None = None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if spec is not None:
+            code = cls.__init__.__code__
+            fields = code.co_varnames[1:code.co_argcount]
+            cls._spec_name, cls._spec_fields = spec, fields
+            cls._spec_required = fields[: len(fields) - len(cls.__init__.__defaults__ or ())]
+            _FAMILIES[spec] = cls
 
     def density(self, x):
         return _scalar_like(x, self._density(_as_array(x)))
@@ -116,10 +143,20 @@ class UnivariateFamily:
         return self._quantile_impl(rng.uniform(size=count))
 
     def spec(self) -> dict:
-        raise NotImplementedError
+        if self._spec_name is None:
+            raise NotImplementedError(f"{type(self).__name__} declares no spec")
+        fields = {f: _spec_value(getattr(self, f)) for f in self._spec_fields}
+        return {"family": self._spec_name, **fields}
 
     def __repr__(self):
         return f"{type(self).__name__}({self.spec()})"
+
+
+def _spec_value(v):
+    # a nested family or generator as its spec, a list or tuple as a list
+    if isinstance(v, (UnivariateFamily, CharacteristicGenerator)):
+        return v.spec()
+    return [_spec_value(x) for x in v] if isinstance(v, (list, tuple)) else v
 
 
 def _solve_quantile(cdf, density, p, support):
@@ -198,15 +235,15 @@ def _solve_quantile(cdf, density, p, support):
 # Uniform
 # ---------------------------------------------------------------------------
 
-class Uniform(UnivariateFamily):
+class Uniform(UnivariateFamily, spec="uniform"):
     symmetric = True
     unimodal = True
 
     def __init__(self, lo: float, hi: float):
         if not hi > lo:
             raise FamilyError("uniform needs hi > lo")
-        self.lo = float(lo)
-        self.hi = float(hi)
+        self.lo = _finite(lo)
+        self.hi = _finite(hi)
         self.center = 0.5 * (lo + hi)
         self.support = (self.lo, self.hi)
 
@@ -221,9 +258,6 @@ class Uniform(UnivariateFamily):
 
     def sample_with(self, rng, count):
         return rng.uniform(self.lo, self.hi, size=count)
-
-    def spec(self):
-        return {"family": "uniform", "lo": self.lo, "hi": self.hi}
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +284,7 @@ class _SymmetricLocationScale(UnivariateFamily):
         return self.mu + self.sigma * np.where(p > 0.5, -z, z)
 
 
-class Elliptical(_SymmetricLocationScale):
+class Elliptical(_SymmetricLocationScale, spec="elliptical"):
     """Location-scale symmetric law with a supported characteristic generator.
 
     X = mu + sigma * sqrt(W) * Z.  Densities of normal variance mixtures are
@@ -262,8 +296,8 @@ class Elliptical(_SymmetricLocationScale):
     def __init__(self, mu: float, sigma: float, generator: CharacteristicGenerator):
         if sigma <= 0:
             raise FamilyError("sigma must be positive")
-        self.mu = float(mu)
-        self.sigma = float(sigma)
+        self.mu = _finite(mu)
+        self.sigma = _finite(sigma)
         self.generator = generator
         self.center = self.mu
         self.law = mixing_law(generator)
@@ -315,20 +349,12 @@ class Elliptical(_SymmetricLocationScale):
         w = self.law.sample_with(rng, count)
         return self.mu + self.sigma * np.sqrt(w) * rng.standard_normal(count)
 
-    def spec(self):
-        return {
-            "family": "elliptical",
-            "mu": self.mu,
-            "sigma": self.sigma,
-            "generator": self.generator.spec(),
-        }
-
 
 # ---------------------------------------------------------------------------
 # Location-scale wrapper around an arbitrary symmetric base
 # ---------------------------------------------------------------------------
 
-class LocationScaleSymmetric(UnivariateFamily):
+class LocationScaleSymmetric(UnivariateFamily, spec="location_scale"):
     """``mu + theta * (Y - c)`` for a symmetric base ``Y`` with center ``c``."""
 
     def __init__(self, base: UnivariateFamily, mu: float, theta: float):
@@ -337,8 +363,8 @@ class LocationScaleSymmetric(UnivariateFamily):
         if not base.symmetric:
             raise FamilyError("base must be symmetric")
         self.base = base
-        self.mu = float(mu)
-        self.theta = float(theta)
+        self.mu = _finite(mu)
+        self.theta = _finite(theta)
         self.symmetric = True
         self.unimodal = base.unimodal
         self.center = self.mu
@@ -363,20 +389,12 @@ class LocationScaleSymmetric(UnivariateFamily):
         y = self.base.sample_with(rng, count)
         return self.mu + self.theta * (y - self.base.center)
 
-    def spec(self):
-        return {
-            "family": "location_scale",
-            "mu": self.mu,
-            "theta": self.theta,
-            "base": self.base.spec(),
-        }
-
 
 # ---------------------------------------------------------------------------
 # Bimodal counterexample densities on [-a, a]
 # ---------------------------------------------------------------------------
 
-class BimodalPower(UnivariateFamily):
+class BimodalPower(UnivariateFamily, spec="bimodal_power"):
     """Density proportional to x^(2r) on [-a, a]: symmetric, bimodal, with
     closed-form CDF and quantile."""
 
@@ -384,9 +402,9 @@ class BimodalPower(UnivariateFamily):
     unimodal = False
 
     def __init__(self, a: float, r: int):
-        if a <= 0:
+        if _finite(a) <= 0:
             raise FamilyError("a must be positive")
-        if int(r) != r or r < 1:
+        if int(_finite(r)) != r or r < 1:
             raise FamilyError("r must be a positive integer")
         self.a = float(a)
         self.r = int(r)
@@ -408,11 +426,8 @@ class BimodalPower(UnivariateFamily):
         y = 2.0 * p - 1.0
         return a * np.sign(y) * np.abs(y) ** (1.0 / (2 * r + 1))
 
-    def spec(self):
-        return {"family": "bimodal_power", "a": self.a, "r": self.r}
 
-
-class BimodalMoment(UnivariateFamily):
+class BimodalMoment(UnivariateFamily, spec="bimodal_moment"):
     """Density C_m x^(2m) / sqrt(1 - x^2) on (-1, 1).
 
     m = 0 is the arcsine-type law of cos(theta) with theta uniform; m >= 1
@@ -424,7 +439,7 @@ class BimodalMoment(UnivariateFamily):
     unimodal = False
 
     def __init__(self, m: int):
-        if int(m) != m or m < 0:
+        if int(_finite(m)) != m or m < 0:
             raise FamilyError("m must be a nonnegative integer")
         self.m = int(m)
         self.center = 0.0
@@ -446,16 +461,13 @@ class BimodalMoment(UnivariateFamily):
         t = special.betaincinv(self.m + 0.5, 0.5, np.abs(y))
         return np.sign(y) * np.sqrt(t)
 
-    def spec(self):
-        return {"family": "bimodal_moment", "m": self.m}
-
 
 # ---------------------------------------------------------------------------
 # Finite mixtures (used for truncated bimodal-moment series and for
 # hand-built symmetric counterexample densities)
 # ---------------------------------------------------------------------------
 
-class MixtureFamily(UnivariateFamily):
+class MixtureFamily(UnivariateFamily, spec="mixture"):
     def __init__(self, components, weights, symmetric=None, unimodal=False, center=None):
         if len(components) != len(weights) or not components:
             raise FamilyError("components/weights mismatch")
@@ -463,14 +475,15 @@ class MixtureFamily(UnivariateFamily):
         if not np.all((w > 0) & (w < np.inf)):
             raise FamilyError("weights must be positive and finite")
         self.components = list(components)
-        self.weights = w / w.sum()  # renormalize user-supplied weights
+        self.weights = w.tolist()  # as given, so that a rebuilt spec is bit-identical
+        self.probs = w / w.sum()
         self.unimodal = bool(unimodal)
         los = [c.support[0] for c in components]
         his = [c.support[1] for c in components]
         self.support = (min(los), max(his))
         if center is None:
-            center = float(np.dot(self.weights, [c.center for c in components]))
-        self.center = center
+            center = np.dot(self.probs, [c.center for c in components])
+        self.center = _finite(center)
         if symmetric is None:
             symmetric = self._looks_symmetric()
         self.symmetric = bool(symmetric)
@@ -485,13 +498,13 @@ class MixtureFamily(UnivariateFamily):
         return bool(np.max(np.abs(left - right)) <= 1e-9 * (1 + np.max(right)))
 
     def _density(self, x):
-        return sum(w * c.density(x) for w, c in zip(self.weights, self.components))
+        return sum(w * c.density(x) for w, c in zip(self.probs, self.components))
 
     def _cdf(self, x):
-        return sum(w * c.cdf(x) for w, c in zip(self.weights, self.components))
+        return sum(w * c.cdf(x) for w, c in zip(self.probs, self.components))
 
     def sample_with(self, rng, count):
-        idx = rng.choice(len(self.components), p=self.weights, size=count)
+        idx = rng.choice(len(self.components), p=self.probs, size=count)
         out = np.empty(count)
         for k, comp in enumerate(self.components):
             mask = idx == k
@@ -499,13 +512,6 @@ class MixtureFamily(UnivariateFamily):
             if n_k:
                 out[mask] = comp.sample_with(rng, n_k)
         return out
-
-    def spec(self):
-        return {
-            "family": "mixture",
-            "weights": self.weights.tolist(),
-            "components": [c.spec() for c in self.components],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +522,7 @@ _GL_HEAD_END = 0.25  # t = |x|^beta up to which F(-x) = 1/2 - head(t)
 _GL_LAGUERRE_FROM = 8.0  # alpha t from which the tail rule is Gauss-Laguerre
 
 
-class GeneralizedLogistic(_SymmetricLocationScale):
+class GeneralizedLogistic(_SymmetricLocationScale, spec="generalized_logistic"):
     """Density proportional to exp(-alpha*t) / (1 + exp(-t))^(2*alpha) with
     t = sign(x) |x|^beta.
 
@@ -533,8 +539,8 @@ class GeneralizedLogistic(_SymmetricLocationScale):
     def __init__(self, alpha: float, beta: float):
         if alpha <= 0 or beta <= 0:
             raise FamilyError("alpha, beta must be positive")
-        self.alpha = float(alpha)
-        self.beta = float(beta)
+        self.alpha = _finite(alpha)
+        self.beta = _finite(beta)
         self.center = 0.0
 
     def _log_g(self, t):
@@ -605,15 +611,12 @@ class GeneralizedLogistic(_SymmetricLocationScale):
             return special.logit(u)
         return super().sample_with(rng, count)
 
-    def spec(self):
-        return {"family": "generalized_logistic", "alpha": self.alpha, "beta": self.beta}
-
 
 # ---------------------------------------------------------------------------
 # Kotz type
 # ---------------------------------------------------------------------------
 
-class KotzType(UnivariateFamily):
+class KotzType(UnivariateFamily, spec="kotz"):
     """Density generator r^(N-1) exp(-m r^beta) applied to r = ((x-mu)/sigma)^2.
 
     With N > 1 the density vanishes at the center, so the family is symmetric
@@ -629,11 +632,11 @@ class KotzType(UnivariateFamily):
             raise FamilyError("N must exceed 1")
         if m <= 0 or beta <= 0 or sigma <= 0:
             raise FamilyError("m, beta, sigma must be positive")
-        self.N = float(N)
-        self.m = float(m)
-        self.beta = float(beta)
-        self.mu = float(mu)
-        self.sigma = float(sigma)
+        self.N = _finite(N)
+        self.m = _finite(m)
+        self.beta = _finite(beta)
+        self.mu = _finite(mu)
+        self.sigma = _finite(sigma)
         self.center = self.mu
         self._s = (2.0 * self.N - 1.0) / (2.0 * self.beta)  # gamma shape
         self._c = self.beta * self.m ** self._s / math.gamma(self._s)
@@ -659,16 +662,6 @@ class KotzType(UnivariateFamily):
         sign = rng.choice([-1.0, 1.0], size=count)
         return self.mu + self.sigma * sign * g ** (1.0 / (2.0 * self.beta))
 
-    def spec(self):
-        return {
-            "family": "kotz",
-            "N": self.N,
-            "m": self.m,
-            "beta": self.beta,
-            "mu": self.mu,
-            "sigma": self.sigma,
-        }
-
 
 # ---------------------------------------------------------------------------
 # Skew-normal and its scale mixtures
@@ -679,7 +672,7 @@ def _sn_std_cdf(z, lam):
     return np.clip(special.ndtr(z) - 2.0 * special.owens_t(z, lam), 0.0, 1.0)
 
 
-class SkewNormal(UnivariateFamily):
+class SkewNormal(UnivariateFamily, spec="skew_normal"):
     """SN(mu, sigma^2, lambda): density 2/sigma phi(z) Phi(lambda z).
 
     Sampling uses the half-normal stochastic representation
@@ -691,9 +684,9 @@ class SkewNormal(UnivariateFamily):
     def __init__(self, mu: float, sigma: float, lam: float):
         if not sigma > 0:
             raise FamilyError("sigma must be positive")
-        self.mu = float(mu)
-        self.sigma = float(sigma)
-        self.lam = float(lam)
+        self.mu = _finite(mu)
+        self.sigma = _finite(sigma)
+        self.lam = _finite(lam)
         self.symmetric = self.lam == 0.0
         self.center = self.mu
 
@@ -715,11 +708,8 @@ class SkewNormal(UnivariateFamily):
         z = delta * u + math.sqrt(1.0 - delta * delta) * v
         return self.mu + self.sigma * z
 
-    def spec(self):
-        return {"family": "skew_normal", "mu": self.mu, "sigma": self.sigma, "lam": self.lam}
 
-
-class SSMN(MixtureFamily):
+class SSMN(MixtureFamily, spec="ssmn"):
     """Skew scale mixture of normal with a finite discrete mixing law H.
 
     Conditionally on V = v the law is SN(mu, sigma^2 v^2, lambda v): the
@@ -733,22 +723,13 @@ class SSMN(MixtureFamily):
             raise FamilyError("H atoms need positive values and probabilities")
         if not abs(sum(p for _, p in atoms) - 1.0) <= 1e-9:
             raise FamilyError("H probabilities must sum to 1")
-        self.mu = float(mu)
-        self.sigma = float(sigma)
-        self.lam = float(lam)
+        self.mu = _finite(mu)
+        self.sigma = _finite(sigma)
+        self.lam = _finite(lam)
         self.atoms = atoms
         components = [SkewNormal(self.mu, self.sigma * v, self.lam * v) for v, _ in atoms]
         super().__init__(components, [p for _, p in atoms], symmetric=self.lam == 0.0,
                          unimodal=True, center=self.mu)
-
-    def spec(self):
-        return {
-            "family": "ssmn",
-            "mu": self.mu,
-            "sigma": self.sigma,
-            "lam": self.lam,
-            "atoms": [[v, p] for v, p in self.atoms],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +813,7 @@ def _t_slash_h(nu: float, q: float, r: np.ndarray) -> np.ndarray:
     return out
 
 
-class SlashElliptical(_SymmetricLocationScale):
+class SlashElliptical(_SymmetricLocationScale, spec="slash_elliptical"):
     """X = Z / U^(1/q) + mu with Z elliptical E_1(0, sigma^2, psi) and U
     uniform on (0,1).
 
@@ -849,9 +830,9 @@ class SlashElliptical(_SymmetricLocationScale):
     def __init__(self, mu: float, sigma: float, generator: CharacteristicGenerator, q: float):
         if q <= 0:
             raise FamilyError("q must be positive")
-        self.mu = float(mu)
-        self.sigma = float(sigma)
-        self.q = float(q)
+        self.mu = _finite(mu)
+        self.sigma = _finite(sigma)
+        self.q = _finite(q)
         self.generator = generator
         self.center = self.mu
         self._base = Elliptical(0.0, sigma, generator)
@@ -900,45 +881,33 @@ class SlashElliptical(_SymmetricLocationScale):
         u = rng.uniform(size=count)
         return z / u ** (1.0 / self.q) + self.mu
 
-    def spec(self):
-        return {
-            "family": "slash_elliptical",
-            "mu": self.mu,
-            "sigma": self.sigma,
-            "q": self.q,
-            "generator": self.generator.spec(),
-        }
-
 
 # ---------------------------------------------------------------------------
 # JSON factory
 # ---------------------------------------------------------------------------
 
 def family_from_spec(d: dict) -> UnivariateFamily:
-    kind = d.get("family")
-    if kind == "uniform":
-        return Uniform(d["lo"], d["hi"])
-    if kind == "elliptical":
-        return Elliptical(d["mu"], d["sigma"], CharacteristicGenerator.from_spec(d["generator"]))
-    if kind == "location_scale":
-        return LocationScaleSymmetric(family_from_spec(d["base"]), d["mu"], d["theta"])
-    if kind == "bimodal_power":
-        return BimodalPower(d["a"], d["r"])
-    if kind == "bimodal_moment":
-        return BimodalMoment(d["m"])
-    if kind == "mixture":
-        comps = [family_from_spec(c) for c in d["components"]]
-        return MixtureFamily(comps, d["weights"])
-    if kind == "generalized_logistic":
-        return GeneralizedLogistic(d["alpha"], d["beta"])
-    if kind == "kotz":
-        return KotzType(d["N"], d["m"], d["beta"], d.get("mu", 0.0), d.get("sigma", 1.0))
-    if kind == "skew_normal":
-        return SkewNormal(d["mu"], d["sigma"], d["lam"])
-    if kind == "ssmn":
-        return SSMN(d["mu"], d["sigma"], d["lam"], d["atoms"])
-    if kind == "slash_elliptical":
-        return SlashElliptical(
-            d["mu"], d["sigma"], CharacteristicGenerator.from_spec(d["generator"]), d["q"]
-        )
-    raise FamilyError(f"unknown family {kind!r}")
+    """The family that ``d`` declares, in the form ``spec()`` writes: the
+    spec name under ``family`` and the constructor's fields, of which those
+    with a default may be left out.  Nested specs are rebuilt in turn."""
+    if not isinstance(d, dict):
+        raise FamilyError(f"a family spec is a JSON object, not {type(d).__name__}")
+    cls = _FAMILIES.get(d.get("family"))
+    if cls is None:
+        raise FamilyError(f"unknown family {d.get('family')!r}")
+    missing = [f for f in cls._spec_required if f not in d]
+    unknown = [f for f in d if f != "family" and f not in cls._spec_fields]
+    if missing or unknown:
+        raise FamilyError(f"a {cls._spec_name} spec has the fields {list(cls._spec_fields)} "
+                          f"({list(cls._spec_required)} required): missing {missing}, "
+                          f"unknown {unknown}")
+    fields = [f for f in cls._spec_fields if f in d]
+    return cls(**{f: _NESTED[f](d[f]) if f in _NESTED else d[f] for f in fields})
+
+
+# the fields that hold nested specs, and what rebuilds each
+_NESTED = {
+    "generator": CharacteristicGenerator.from_spec,
+    "base": family_from_spec,
+    "components": lambda specs: [family_from_spec(c) for c in specs],
+}

@@ -147,6 +147,8 @@ class CharacteristicGenerator:
 
     @classmethod
     def from_spec(cls, d: dict) -> "CharacteristicGenerator":
+        if not isinstance(d, dict):
+            raise GeneratorError(f"a generator spec is a JSON object, not {type(d).__name__}")
         kind = d.get("kind")
         if kind not in _KIND_FIELDS:
             raise GeneratorError(f"unknown generator kind {kind!r}")
@@ -200,18 +202,6 @@ class MixingLaw:
             vals = np.array([v for _, v in self.atoms])
             return rng.choice(vals, p=probs, size=count)
         raise GeneratorError(f"unknown mixing law {self.kind!r}")
-
-    def density(self, w):
-        """Density of W (inverse-gamma kinds only)."""
-        import numpy as np
-
-        if self.kind != "inverse_gamma":
-            raise GeneratorError("density available for inverse_gamma mixing only")
-        special = _lazy_import("scipy.special")
-        z = np.asarray(w, dtype=float) / self.b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_pdf = -(self.a + 1.0) * np.log(z) - special.gammaln(self.a) - 1.0 / z
-        return np.where(z > 0, np.exp(log_pdf) / self.b, 0.0)[()]
 
 
 def mixing_law(g: CharacteristicGenerator) -> MixingLaw:

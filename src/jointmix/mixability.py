@@ -184,8 +184,8 @@ def not_jm_bounded_symmetric(families, a: float) -> MixabilityVerdict:
         lo, hi = fam.support
         if lo < -a - 1e-12 or hi > a + 1e-12:
             raise HypothesisViolation("support must be contained in [-a, a]")
-        if not fam.symmetric:
-            raise HypothesisViolation("families must be symmetric")
+        if not (fam.symmetric and fam.center == 0.0):
+            raise HypothesisViolation("families must be symmetric about 0")
     point = n * a / (n + 1.0)
     threshold = (n + 1.0) / (2.0 * n + 1.0)
     cdf_values = [float(fam.cdf(point)) for fam in families]
@@ -212,8 +212,8 @@ def not_jm_unbounded_symmetric(families, a_grid) -> MixabilityVerdict:
     searched over the supplied grid only; absence yields Unknown."""
     n = _odd_count(families)
     for fam in families:
-        if not fam.symmetric:
-            raise HypothesisViolation("families must be symmetric")
+        if not (fam.symmetric and fam.center == 0.0):
+            raise HypothesisViolation("families must be symmetric about 0")
     threshold = n / (2.0 * n + 1.0)
     grid = [float(a) for a in a_grid]
     cert = {
@@ -340,7 +340,5 @@ def replay_certificate(cert: dict) -> str:
             return NOT_JM
         return UNKNOWN
     if kind == "hypothesis_violation":
-        return UNKNOWN
-    if kind == "oracle_evidence":
         return UNKNOWN
     raise ValueError(f"unknown certificate type {kind!r}")

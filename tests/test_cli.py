@@ -291,9 +291,12 @@ def test_check_output_identical_across_runs(capsys):
         ["check", "--example", "2.1", "--copies", "2"],
         ["oracle", "--example", "2.3", "--m", "1"],
         ["sample", "--coupling", "slash", "--sigmas", "1,1,1", "--q", "0", "-o", "{tmp}/x.csv"],
+        ["sample", "--coupling", "slash", "--sigmas", "1,1,1", "--q", "nan", "-o", "{tmp}/x.csv"],
+        ["sample", "--coupling", "slash", "--sigmas", "1,1,1", "--q", "inf", "-o", "{tmp}/x.csv"],
         ["explore", "--n-grid", "1:1"],
     ],
-    ids=["check_even_copies", "oracle_m1", "sample_slash_q0", "explore_n1"],
+    ids=["check_even_copies", "oracle_m1", "sample_slash_q0", "sample_slash_qnan",
+         "sample_slash_qinf", "explore_n1"],
 )
 def test_library_value_error_exits_usage(tmp_path, capsys, argv):
     code, out, err = run(capsys, *[a.replace("{tmp}", str(tmp_path)) for a in argv])
@@ -394,3 +397,62 @@ def test_parse_range_ends_when_step_is_below_float_spacing():
 
     vals = _parse_range("1e20:1.0000000000001e20:1e3")
     assert len(vals) <= math.floor((1.0000000000001e20 - 1e20) / 1e3) + 2
+
+
+@pytest.mark.parametrize("flag", [["--sigma", "nan"], ["--sigma", "inf"], ["--mu", "inf"]],
+                         ids=["sigma_nan", "sigma_inf", "mu_inf"])
+def test_non_finite_base_parameter_exits_usage(tmp_path, capsys, flag):
+    out_csv = str(tmp_path / "x.csv")
+    code, out, err = run(capsys, "sample", "--coupling", "scale_mixture", "--n", "3", *flag,
+                         "-o", out_csv)
+    assert code == EXIT_USAGE
+    assert out == "" and "must be finite" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+_BAD_FAMILY_SPECS = {
+    "missing_field": {"family": "uniform", "lo": -1.0},
+    "unknown_field": {"family": "uniform", "lo": -1.0, "hi": 1.0, "mu": 0.0},
+    "a_string": "uniform",
+    "lo_a_string": {"family": "uniform", "lo": "a", "hi": 1.0},
+    "components_a_number": {"family": "mixture", "components": 5, "weights": [1.0]},
+    "generator_a_string": {"family": "elliptical", "mu": 0.0, "sigma": 1.0, "generator": "x"},
+}
+
+
+@pytest.mark.parametrize("command", ["oracle", "sample"])
+@pytest.mark.parametrize("name", list(_BAD_FAMILY_SPECS))
+def test_malformed_family_spec_exits_usage(tmp_path, capsys, command, name):
+    spec = _BAD_FAMILY_SPECS[name]
+    cfg = tmp_path / "cfg.json"
+    if command == "oracle":
+        cfg.write_text(json.dumps({"families": [spec] * 3}))
+        argv = ["oracle", "--config", str(cfg), "--m", "9"]
+    else:
+        cfg.write_text(json.dumps({"coupling": "scale_mixture", "base": spec, "n": 3}))
+        argv = ["sample", "--config", str(cfg), "-o", str(tmp_path / "x.csv")]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("bad family spec:") and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_mixture_base_sidecar_replays(tmp_path, capsys):
+    # the base's spec in the sidecar rebuilds a base that passes the same checks
+    from jointmix.families import Elliptical, MixtureFamily, family_from_spec
+    from jointmix.generators import CharacteristicGenerator
+
+    normal = CharacteristicGenerator.normal()
+    base = MixtureFamily([Elliptical(0.0, 1.0, normal), Elliptical(0.0, 2.0, normal)],
+                         [0.1, 0.2], unimodal=True)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"coupling": "scale_mixture", "base": base.spec(), "n": 3}))
+    out_csv = tmp_path / "x.csv"
+    first = run(capsys, "sample", "--config", str(cfg), "-N", "20", "-o", str(out_csv))
+    assert first[0] == 0
+    sidecar = json.loads((tmp_path / "x.csv.json").read_text())
+    assert sidecar["base"] == base.spec() == family_from_spec(sidecar["base"]).spec()
+    cfg.write_text(json.dumps({"coupling": "scale_mixture", "base": sidecar["base"], "n": 3}))
+    replay_csv = tmp_path / "y.csv"
+    assert run(capsys, "sample", "--config", str(cfg), "-N", "20", "-o", str(replay_csv))[0] == 0
+    assert replay_csv.read_text() == out_csv.read_text()

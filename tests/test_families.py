@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -135,11 +136,36 @@ def test_sampler_matches_cdf_ks(fam):
     assert stat <= 1.63 / math.sqrt(n)
 
 
-@pytest.mark.parametrize("fam", FAMILIES, ids=_IDS)
+_ROUND_TRIP_EXTRA = {
+    "unimodal-normal-mixture": MixtureFamily(
+        [Elliptical(0.0, 1.0, NORMAL), Elliptical(0.0, 3.0, NORMAL)], [0.4, 0.6], unimodal=True
+    ),
+    # w / w.sum() is not idempotent for these weights
+    "weights-not-summing-to-1": MixtureFamily(
+        [Elliptical(0.0, 1.0, NORMAL), Elliptical(1.0, 2.0, T3), Uniform(-1.0, 2.0)],
+        [0.1, 0.2, 0.3],
+    ),
+    "kotz-without-mu-sigma": family_from_spec({"family": "kotz", "N": 2, "m": 1.5, "beta": 0.5}),
+    "location-scale-over-elliptical": LocationScaleSymmetric(Elliptical(1.0, 2.0, T3), -1.0, 0.5),
+    "slash-t": SlashElliptical(0.5, 1.5, T3, 2.0),
+}
+
+
+@pytest.mark.parametrize(
+    "fam", FAMILIES + list(_ROUND_TRIP_EXTRA.values()), ids=_IDS + list(_ROUND_TRIP_EXTRA)
+)
 def test_spec_round_trip(fam):
-    clone = family_from_spec(fam.spec())
+    spec = fam.spec()
+    json.dumps(spec, allow_nan=False)
+    clone = family_from_spec(spec)
+    assert clone.spec() == spec
+    for flag in ("symmetric", "unimodal", "center", "support"):
+        assert getattr(clone, flag) == getattr(fam, flag), flag
     xs = np.linspace(-3, 3, 7)
-    assert np.allclose(np.asarray(clone.density(xs)), np.asarray(fam.density(xs)))
+    assert np.array_equal(clone.cdf(xs), fam.cdf(xs))
+    assert np.array_equal(clone.density(xs), fam.density(xs))
+    probs = (np.arange(99) + 0.5) / 99
+    assert np.array_equal(clone.quantile(probs), fam.quantile(probs))
 
 
 def test_sample_deterministic_per_seed():
@@ -308,7 +334,7 @@ def test_mixture_rejects_bad_weight_at_construction(bad):
 
 def test_ssmn_weights_are_renormalised():
     fam = SSMN(0.0, 1.0, 2.0, [(0.5, 0.3), (2.0, 0.7 + 1e-10)])
-    assert fam.weights.sum() == 1.0
+    assert fam.probs.sum() == 1.0
     assert fam.spec()["atoms"] == [[0.5, 0.3], [2.0, 0.7 + 1e-10]]
 
 
@@ -329,7 +355,8 @@ def test_generalized_logistic_standard_case():
 
 def test_mixture_weights_renormalized():
     fam = MixtureFamily([BimodalMoment(1), BimodalMoment(2)], [2.0, 2.0])
-    assert np.allclose(fam.weights, [0.5, 0.5])
+    assert np.allclose(fam.probs, [0.5, 0.5])
+    assert fam.weights == [2.0, 2.0]  # as given
 
 
 def test_invalid_inputs():
@@ -343,6 +370,56 @@ def test_invalid_inputs():
         Uniform(0, 1).quantile(1.5)
     with pytest.raises(FamilyError):
         LocationScaleSymmetric(SkewNormal(0, 1, 2.0), 0.0, 1.0)
+
+
+_WITH_PARAMETER = {
+    "uniform": lambda x: Uniform(0.0, x) if x > 0 else Uniform(x, 0.0),
+    "elliptical_mu": lambda x: Elliptical(x, 1.0, NORMAL),
+    "elliptical_sigma": lambda x: Elliptical(0.0, x, T3),
+    "location_scale_mu": lambda x: LocationScaleSymmetric(Uniform(-1.0, 1.0), x, 1.0),
+    "location_scale_theta": lambda x: LocationScaleSymmetric(Uniform(-1.0, 1.0), 0.0, x),
+    "bimodal_power_a": lambda x: BimodalPower(x, 1),
+    "bimodal_power_r": lambda x: BimodalPower(1.0, x),
+    "bimodal_moment": lambda x: BimodalMoment(x),
+    "mixture_center": lambda x: MixtureFamily(
+        [Uniform(-1.0, 0.0), Uniform(0.0, 1.0)], [1, 1], center=x
+    ),
+    "logistic_alpha": lambda x: GeneralizedLogistic(x, 1.0),
+    "logistic_beta": lambda x: GeneralizedLogistic(1.0, x),
+    "kotz_N": lambda x: KotzType(x, 1.0, 1.0),
+    "kotz_mu": lambda x: KotzType(2.0, 1.0, 1.0, mu=x),
+    "kotz_sigma": lambda x: KotzType(2.0, 1.0, 1.0, sigma=x),
+    "skew_normal_mu": lambda x: SkewNormal(x, 1.0, 2.0),
+    "skew_normal_lam": lambda x: SkewNormal(0.0, 1.0, x),
+    "ssmn_mu": lambda x: SSMN(x, 1.0, 2.0, [(1.0, 1.0)]),
+    "ssmn_lam": lambda x: SSMN(0.0, 1.0, x, [(1.0, 1.0)]),
+    "slash_mu": lambda x: SlashElliptical(x, 1.0, NORMAL, 2.0),
+    "slash_q": lambda x: SlashElliptical(0.0, 1.0, NORMAL, x),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", list(_WITH_PARAMETER))
+def test_non_finite_parameter_rejected(name, bad):
+    with pytest.raises(FamilyError):
+        _WITH_PARAMETER[name](bad)
+
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "uniform", "lo": 0.0},
+    {"family": "uniform", "lo": 0.0, "hi": 1.0, "mu": 0.0},
+    {"family": "kotz", "N": 2.0, "m": 1.0, "beta": 1.0, "theta": 1.0},
+    {"family": "location_scale", "base": "uniform", "mu": 0.0, "theta": 1.0},
+    {"family": "elliptical", "mu": 0.0, "sigma": 1.0, "generator": "normal"},
+    {"family": "mixture", "components": [{"family": "uniform", "lo": 0.0}], "weights": [1.0]},
+    "uniform",
+    {"family": "normal"},
+], ids=["missing", "unknown", "unknown_optional", "base_a_string", "generator_a_string",
+        "nested_missing", "not_a_dict", "unknown_family"])
+def test_malformed_spec_rejected(spec):
+    with pytest.raises(ValueError):  # FamilyError or GeneratorError
+        family_from_spec(spec)
 
 
 @pytest.mark.parametrize("shape", [200.0, 1e4])

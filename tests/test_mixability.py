@@ -193,6 +193,16 @@ def test_bounded_certificate_hypothesis_checks():
         not_jm_bounded_symmetric([Uniform(-1, 1)] * 4, 1.0)  # even count
 
 
+def test_symmetric_certificates_reject_off_center_laws():
+    # U(0,1) x 3 is 3-CM: (U, frac(U + 1/2), 3/2 - U - frac(U + 1/2)) sums to 3/2,
+    # so neither criterion, which needs symmetry about 0, may call it NotJM
+    fams = [Uniform(0.0, 1.0)] * 3
+    with pytest.raises(HypothesisViolation, match="symmetric about 0"):
+        not_jm_bounded_symmetric(fams, 1.0)
+    with pytest.raises(HypothesisViolation, match="symmetric about 0"):
+        not_jm_unbounded_symmetric(fams, [0.5, 0.75, 1.0])
+
+
 # --- unbounded symmetric certificate ---------------------------------------
 
 def test_three_normals_never_fire():

@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate, optimize, stats
 
 from jointmix.families import Elliptical, SkewNormal
-from jointmix.generators import CharacteristicGenerator, MixingLaw, cg_eval, mixing_law
+from jointmix.generators import CharacteristicGenerator, cg_eval, mixing_law
 
 RTOL = 1e-13
 MU, SIGMA = 0.5, 2.0
@@ -112,16 +112,6 @@ def test_cauchy_quantile_keeps_relative_precision_in_both_tails(p):
         assert got == 0.0
     else:
         assert got == pytest.approx(want, rel=RTOL)
-
-
-@pytest.mark.parametrize("a, b", [(0.25, 0.25), (0.5, 0.5), (1.5, 1.5), (2.5, 0.7), (100.0, 100.0)])
-def test_mixing_law_density_matches_invgamma(a, b):
-    w = np.concatenate([[-1.0, 0.0], np.geomspace(1e-3, 1e3, 61)])
-    got = MixingLaw("inverse_gamma", a=a, b=b).density(w)
-    np.testing.assert_allclose(got, stats.invgamma.pdf(w, a, scale=b), rtol=RTOL, atol=0)
-    assert MixingLaw("inverse_gamma", a=a, b=b).density(1.0) == pytest.approx(
-        stats.invgamma.pdf(1.0, a, scale=b), rel=RTOL
-    )
 
 
 U = np.geomspace(1e-8, 1e4, 49)
