@@ -42,11 +42,32 @@ class CliError(Exception):
         self.code = code
 
 
-def _parse_floats(text):
+def _numbers(value, what):
+    """A JSON list of numbers, or a comma-separated string of them, as floats."""
+    if isinstance(value, str):
+        value = [tok for tok in value.split(",") if tok != ""]
+    if not isinstance(value, list):
+        raise CliError(f"{what} must be a list or a comma-separated string, not {value!r}")
     try:
-        return [float(tok) for tok in text.split(",") if tok != ""]
-    except ValueError as exc:
-        raise CliError(f"cannot parse number list {text!r}") from exc
+        return [float(v) for v in value]
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"cannot parse {what} {value!r} as numbers") from exc
+
+
+def _rows(value, what):
+    """A JSON list of number lists, such as H's [value, probability] atoms."""
+    if not isinstance(value, list):
+        raise CliError(f"{what} must be a list of number lists, not {value!r}")
+    return [_numbers(row, f"a row of {what}") for row in value]
+
+
+def _option(cfg, key, default, kind=float):
+    """``cfg[key]``, else the command-line ``default``, as a ``kind``."""
+    value = cfg.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"{key} must be a number, not {value!r}") from exc
 
 
 def _load_config(args):
@@ -84,10 +105,10 @@ def _example_verdict(name, args, cfg):
     from .families import BimodalMoment, BimodalPower, GeneralizedLogistic
     from .families import KotzType, MixtureFamily, Uniform
 
-    r = int(cfg.get("r", args.r))
-    a = float(cfg.get("a", args.a))
-    m = int(cfg.get("m", args.m))
-    copies = int(cfg.get("copies", args.copies))
+    r = _option(cfg, "r", args.r, int)
+    a = _option(cfg, "a", args.a)
+    m = _option(cfg, "m", args.m, int)
+    copies = _option(cfg, "copies", args.copies, int)
     if name == "2.1":
         fam = Uniform(-a, a)
         return mixability.not_jm_bounded_symmetric([fam] * copies, a)
@@ -104,12 +125,13 @@ def _example_verdict(name, args, cfg):
         fam = BimodalMoment(m)
         return mixability.not_jm_bounded_symmetric([fam] * copies, 1.0)
     if name == "3.1":
-        fam = GeneralizedLogistic(cfg.get("alpha", 1.0), cfg.get("beta", 1.0))
+        fam = GeneralizedLogistic(_option(cfg, "alpha", 1.0), _option(cfg, "beta", 1.0))
         return mixability.jm_verdict_unimodal_location_scale(
             fam, [1.0] * copies, [0.0] * copies
         )
     if name == "3.2":
-        fam = KotzType(cfg.get("N", 2.0), cfg.get("m_k", 1.0), cfg.get("beta_k", 1.0))
+        fam = KotzType(_option(cfg, "N", 2.0), _option(cfg, "m_k", 1.0),
+                       _option(cfg, "beta_k", 1.0))
         grid = mixability.default_a_grid([1.0])
         return mixability.not_jm_unbounded_symmetric([fam] * copies, grid)
     raise CliError(f"unknown example {name!r}")
@@ -123,21 +145,15 @@ def cmd_check(args):
         sig_text = cfg.get("sigmas") or args.sigmas
         if sig_text is None:
             raise CliError("check needs --sigmas or --example")
-        sigmas = sig_text if isinstance(sig_text, list) else _parse_floats(sig_text)
+        sigmas = _numbers(sig_text, "sigmas")
         if not sigmas:
             raise CliError("empty sigma list")
         mus_text = cfg.get("mus") or args.mus
-        if mus_text is None:
-            mus = [0.0] * len(sigmas)
-        else:
-            mus = mus_text if isinstance(mus_text, list) else _parse_floats(mus_text)
+        mus = [0.0] * len(sigmas) if mus_text is None else _numbers(mus_text, "mus")
         if len(mus) != len(sigmas):
             raise CliError("mus and sigmas must have equal length")
         g = _generator(cfg.get("generator") or args.family)
-        try:
-            verdict = mixability.jm_verdict_elliptical(sigmas, mus, g)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        verdict = mixability.jm_verdict_elliptical(sigmas, mus, g)
     print(verdict.to_json())
     return _VERDICT_EXIT[verdict.verdict]
 
@@ -154,52 +170,41 @@ def cmd_sample(args):
 
     cfg = _load_config(args)
     kind = cfg.get("coupling", args.coupling)
-    seed = int(cfg.get("seed", args.seed))
-    count = int(cfg.get("count", args.count))
+    seed = _option(cfg, "seed", args.seed, int)
+    count = _option(cfg, "count", args.count, int)
+    n = _option(cfg, "n", args.n, int)
     out = cfg.get("output", args.output)
-    if out is None:
-        raise CliError("sample needs --output")
+    if not isinstance(out, str):
+        raise CliError("sample needs an --output path")
     g = _generator(cfg.get("generator") or args.generator)
     try:
         if kind == "elliptical" or kind == "slash":
-            sigmas = cfg.get("sigmas") or _parse_floats(args.sigmas or "")
+            sigmas = _numbers(cfg.get("sigmas") or args.sigmas or "", "sigmas")
             if not sigmas:
                 raise CliError("sample needs --sigmas")
-            mus = cfg.get("mus") or (
-                _parse_floats(args.mus) if args.mus else [0.0] * len(sigmas)
-            )
+            mus_text = cfg.get("mus") or args.mus
+            mus = _numbers(mus_text, "mus") if mus_text else [0.0] * len(sigmas)
             if kind == "elliptical":
                 batch = couplings.sample_jm_elliptical(mus, sigmas, g, count, seed)
             else:
-                q = float(cfg.get("q", args.q))
+                q = _option(cfg, "q", args.q)
                 batch = couplings.sample_jm_slash(mus, sigmas, g, q, count, seed)
         elif kind == "scale_mixture":
             base_spec = cfg.get("base")
             base = (_from_spec(family_from_spec, base_spec, "family spec") if base_spec
                     else Elliptical(args.mu, args.sigma, g))
-            atoms = cfg.get("H", [[1.0, 1.0]])
-            batch = couplings.sample_cm_scale_mixture(
-                base, atoms, int(cfg.get("n", args.n)), count, seed
-            )
+            atoms = _rows(cfg.get("H", [[1.0, 1.0]]), "H")
+            batch = couplings.sample_cm_scale_mixture(base, atoms, n, count, seed)
         elif kind == "matrix":
             if args.with_sum:
                 raise CliError("--with-sum is not available for the matrix coupling")
-            p = int(cfg.get("p", args.p))
-            sigma_p = np.asarray(cfg.get("sigma_p", np.eye(p).tolist()), dtype=float)
-            mbatch = couplings.sample_matrix_variate_cm(
-                p, sigma_p, g, int(cfg.get("n", args.n)), count, seed
-            )
+            p = _option(cfg, "p", args.p, int)
+            sigma_p = np.asarray(_rows(cfg.get("sigma_p", np.eye(p).tolist()), "sigma_p"))
+            mbatch = couplings.sample_matrix_variate_cm(p, sigma_p, g, n, count, seed)
             mbatch.write_csv(out)
-            sidecar = {
-                "seed": seed,
-                "coupling": "matrix",
-                "p": p,
-                "n": int(cfg.get("n", args.n)),
-                "rows": count,
-                "generator": g.spec(),
-                "joint_center": [0.0] * p,
-                "config": _echo_config(args, cfg),
-            }
+            sidecar = {"seed": seed, "coupling": "matrix", "p": p, "n": n, "rows": count,
+                       "generator": g.spec(), "joint_center": [0.0] * p,
+                       "config": _echo_config(args, cfg)}
             with open(out + ".json", "w") as fh:
                 json.dump(sidecar, fh, sort_keys=True, indent=2)
                 fh.write("\n")

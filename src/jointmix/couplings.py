@@ -20,7 +20,6 @@ import numpy as np
 from .families import Elliptical, UnivariateFamily
 from .generators import CharacteristicGenerator, mixing_law
 from .mixability import _joint_center, check_scale_inequality
-from . import oracle
 
 __all__ = [
     "PolygonInequalityError",
@@ -40,6 +39,8 @@ __all__ = [
 _FLOAT_FMT = "%.17g"
 _CSV_EOL = "\r\n"  # csv.writer's line terminator
 _CSV_BLOCK_ROWS = 4096  # rows formatted by one % operation
+_TINY = np.finfo(float).tiny
+_BIG = np.finfo(float).max
 
 
 class PolygonInequalityError(ValueError):
@@ -94,21 +95,10 @@ def _polygon(sig: np.ndarray) -> np.ndarray:
         return _triangle_vectors(sig[0], sig[1], sig[2])
     order = np.argsort(sig, kind="stable")
     i, j = sorted((int(order[0]), int(order[1])))
-    reduced = [s for k, s in enumerate(sig) if k != j]
-    reduced[i if i < j else i - 1] = sig[i] + sig[j]
-    sub = _polygon(np.asarray(reduced))
-    out = np.empty((n, 2))
-    sub_iter = iter(range(n - 1))
-    merged_row = None
-    for k in range(n):
-        if k == j:
-            continue
-        row = next(sub_iter)
-        out[k] = sub[row]
-        if k == i:
-            merged_row = sub[row]
-    out[j] = merged_row
-    return out
+    reduced = np.delete(sig, j)  # side i < j stands for both
+    reduced[i] = sig[i] + sig[j]
+    sub = _polygon(reduced)
+    return np.insert(sub, j, sub[i], axis=0)
 
 
 def elliptical_jm_covariance(sigmas) -> np.ndarray:
@@ -293,21 +283,15 @@ def sample_jm_slash(mus, sigmas, g: CharacteristicGenerator, q: float, count: in
     return SampleBatch(data=data, seed=seed, joint_center=center, kind="slash", metadata=meta)
 
 
-def sample_cm_scale_mixture(
-    base: UnivariateFamily,
-    atoms,
-    n: int,
-    count: int,
-    seed: int,
-    ra_grid_m: int = 256,
-    ra_restarts: int = 10,
-) -> SampleBatch:
+def sample_cm_scale_mixture(base: UnivariateFamily, atoms, n: int, count: int, seed: int) -> SampleBatch:
     """Scale mixture of a unimodal-symmetric base: one shared theta ~ H per
-    joint draw scales a constant-sum n-tuple about the center.
+    joint draw scales a constant-sum n-tuple about the center c.
 
-    Elliptical bases get the exact polygon coupling conditionally on theta;
-    other bases fall back to the rearrangement table at grid size ra_grid_m,
-    whose residual row-sum spread is reported in the metadata.
+    Elliptical bases get the polygon coupling conditionally on theta.  Other
+    bases pair each base draw y - c with its reflection c - y and, for odd n,
+    close one triple T (2U - 1, 2W - 1, 2 - 2U - 2W), W = frac(U + 1/2):
+    each coordinate is uniform on (-1, 1) and the three sum to 0, so by
+    Khintchine's X - c = T V (``_khintchine_scale``) each is a base draw.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -316,36 +300,56 @@ def sample_cm_scale_mixture(
     atoms = [(float(v), float(p)) for v, p in atoms]
     if any(v <= 0 or p <= 0 for v, p in atoms):
         raise ValueError("H atoms need positive values and probabilities")
-    probs = np.array([p for _, p in atoms])
-    probs = probs / probs.sum()
-    vals = np.array([v for v, _ in atoms])
+    vals, probs = np.array(atoms).T
     rng = np.random.default_rng(seed)
-    theta = rng.choice(vals, p=probs, size=count)
+    theta = rng.choice(vals, p=probs / probs.sum(), size=count)
     center = base.center
-    meta: dict = {"base": base.spec(), "n": n, "H": [[v, p] for v, p in atoms]}
+    meta = {"base": base.spec(), "n": n, "H": [[v, p] for v, p in atoms], "exact": True}
     if isinstance(base, Elliptical):
         vs = polygon_unit_vectors(np.ones(n))
         w = mixing_law(base.generator).sample_with(rng, count)
         z = rng.standard_normal((count, 2))
         unit = z @ vs.T  # (count, n), sums to 0 per row
         data = center + (theta * np.sqrt(w) * base.sigma)[:, None] * unit
-        meta["exact"] = True
     else:
-        grid = oracle.discretize([base] * n, ra_grid_m)
-        result = oracle.ra_minimize(grid, restarts=ra_restarts, seed=seed)
-        table = result.apply(grid) - center  # centered rearrangement table
-        rows = rng.integers(0, ra_grid_m, size=count)
-        data = center + theta[:, None] * table[rows]
-        meta["exact"] = False
-        meta["ra_m"] = ra_grid_m
-        meta["ra_spread"] = result.row_sum_spread
-    return SampleBatch(
-        data=data,
-        seed=seed,
-        joint_center=float(n * center),
-        kind="scale_mixture",
-        metadata=meta,
-    )
+        pairs = [base.sample_with(rng, count) - center for _ in range(n // 2 - n % 2)]
+        cols = [s * y for y in pairs for s in (1.0, -1.0)]
+        if n % 2:
+            t = _khintchine_scale(base, rng, count)
+            u = rng.uniform(size=count)
+            w = (u + 0.5) % 1.0
+            cols += [t * (2.0 * u - 1.0), t * (2.0 * w - 1.0), t * (2.0 - 2.0 * u - 2.0 * w)]
+        data = center + theta[:, None] * np.column_stack(cols)
+    return SampleBatch(data=data, seed=seed, joint_center=float(n * center),
+                       kind="scale_mixture", metadata=meta)
+
+
+def _khintchine_scale(base: UnivariateFamily, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` draws of T >= 0 with X - c = T V, V ~ U(-1, 1) independent
+    of T, for a unimodal base symmetric about c (Khintchine).
+
+    Given a base draw x, P(T > t) = f(c + t) / f(x) for t >= |x - c|, so T is
+    the top of the level set {t : f(c + t) > U f(x)}: doubling from |x - c|
+    brackets it, up to the largest double, and bisection closes the bracket
+    to adjacent doubles.  Both loops end, also where f(x) is 0 or NaN.
+    """
+    c = base.center
+    x = base.sample_with(rng, count)
+    level = rng.uniform(size=count) * base.density(x)
+    lo = np.abs(x - c)
+    hi = np.maximum(2.0 * np.minimum(lo, 0.5 * _BIG), _TINY)  # 2 lo, at most _BIG
+    run = np.arange(count)
+    while run.size:
+        run = run[(hi[run] < _BIG) & (base.density(c + hi[run]) > level[run])]
+        lo[run], hi[run] = hi[run], 2.0 * np.minimum(hi[run], 0.5 * _BIG)
+    run = np.arange(count)
+    while run.size:
+        mid = 0.5 * lo[run] + 0.5 * hi[run]
+        keep = (lo[run] < mid) & (mid < hi[run])
+        run, mid = run[keep], mid[keep]
+        up = base.density(c + mid) > level[run]
+        lo[run[up]], hi[run[~up]] = mid[up], mid[~up]
+    return lo
 
 
 def sample_matrix_variate_cm(

@@ -187,23 +187,14 @@ def not_jm_bounded_symmetric(families, a: float) -> MixabilityVerdict:
         if not (fam.symmetric and fam.center == 0.0):
             raise HypothesisViolation("families must be symmetric about 0")
     point = n * a / (n + 1.0)
-    threshold = (n + 1.0) / (2.0 * n + 1.0)
-    cdf_values = [float(fam.cdf(point)) for fam in families]
-    # contrapositive of the necessary condition: some central mass must be
-    # large if the tuple were JM
-    central = [float(fam.cdf(point) - fam.cdf(-point)) for fam in families]
-    cert = {
+    return _replayed({
         "type": "bounded_symmetric",
         "a": a,
         "n": n,
         "evaluation_point": point,
-        "cdf_values": cdf_values,
-        "threshold": threshold,
-        "central_masses": central,
-        "central_mass_threshold": 1.0 / (2.0 * n + 1.0),
-        "any_central_mass_exceeds": any(c > 1.0 / (2.0 * n + 1.0) for c in central),
-    }
-    return _replayed(cert)
+        "cdf_values": [float(fam.cdf(point)) for fam in families],
+        "threshold": (n + 1.0) / (2.0 * n + 1.0),
+    })
 
 
 def not_jm_unbounded_symmetric(families, a_grid) -> MixabilityVerdict:
@@ -229,10 +220,9 @@ def not_jm_unbounded_symmetric(families, a_grid) -> MixabilityVerdict:
             continue
         masses = [float(fam.cdf(a) - fam.cdf(n * a / (n + 1.0))) for fam in families]
         if all(m >= threshold for m in masses):
-            cert["witness_a"] = a
-            cert["witness_masses"] = masses
-            return MixabilityVerdict(NOT_JM, certificate=cert)
-    return MixabilityVerdict(UNKNOWN, certificate=cert)
+            cert.update(witness_a=a, witness_masses=masses)
+            break
+    return _replayed(cert)
 
 
 def default_a_grid(sigmas, points: int = 64):

@@ -437,6 +437,32 @@ def test_malformed_family_spec_exits_usage(tmp_path, capsys, command, name):
     assert not (tmp_path / "x.csv").exists()
 
 
+# a config value of the wrong JSON type: a usage error, not the NotJM code 1
+_BAD_VALUE_CONFIGS = {
+    "sample_H_a_number": ("sample", {"coupling": "scale_mixture", "n": 3, "H": 5}),
+    "sample_n_a_list": ("sample", {"coupling": "scale_mixture", "n": [3]}),
+    "sample_seed_null": ("sample", {"sigmas": [1.0, 1.0], "seed": None}),
+    "sample_output_a_number": ("sample", {"sigmas": [1.0, 1.0], "output": 5}),
+    "check_sigmas_a_number": ("check", {"sigmas": 5}),
+    "check_mus_a_number": ("check", {"sigmas": [1.0, 1.0, 1.0], "mus": 7}),
+    "check_r_null": ("check", {"example": "2.3", "r": None}),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_VALUE_CONFIGS))
+def test_config_value_of_wrong_type_exits_usage(tmp_path, capsys, name):
+    command, config = _BAD_VALUE_CONFIGS[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = [command, "--config", str(cfg)]
+    if command == "sample":
+        argv += ["-o", str(tmp_path / "x.csv")]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_mixture_base_sidecar_replays(tmp_path, capsys):
     # the base's spec in the sidecar rebuilds a base that passes the same checks
     from jointmix.families import Elliptical, MixtureFamily, family_from_spec

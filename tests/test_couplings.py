@@ -19,7 +19,14 @@ from jointmix.couplings import (
     sample_matrix_variate_cm,
     transform_center,
 )
-from jointmix.families import Elliptical, SlashElliptical, Uniform
+from jointmix.families import (
+    Elliptical,
+    GeneralizedLogistic,
+    LocationScaleSymmetric,
+    MixtureFamily,
+    SlashElliptical,
+    Uniform,
+)
 from jointmix.generators import CharacteristicGenerator
 from jointmix.mixability import JM, jm_verdict_elliptical
 from jointmix.oracle import verify_constant_sum
@@ -236,19 +243,61 @@ def test_scale_mixture_marginal_is_scale_mixture():
     assert stat <= 1.63 / math.sqrt(10**5)
 
 
-def test_scale_mixture_uniform_base_ra_fallback():
-    base = Uniform(-1.0, 1.0)
-    prev = None
-    for m in (64, 256):
-        batch = sample_cm_scale_mixture(
-            base, [(1.0, 1.0)], 3, 10**4, seed=13, ra_grid_m=m
-        )
-        spread = float(np.max(batch.row_sums()) - np.min(batch.row_sums()))
-        assert not batch.metadata["exact"]
-        assert spread <= 0.05
-        if prev is not None:
-            assert spread <= prev
-        prev = spread
+# unimodal-symmetric bases that are not Elliptical: the pair-and-triple coupling
+SCALE_MIXTURE_BASES = {
+    "uniform": Uniform(-1.0, 1.0),
+    "uniform_off_center": Uniform(2.0, 5.0),
+    "gl_beta_0.5": GeneralizedLogistic(1.0, 0.5),
+    "gl_beta_1": GeneralizedLogistic(1.0, 1.0),
+    "gl_beta_2": GeneralizedLogistic(1.5, 2.0),
+    "slash_normal": SlashElliptical(0.0, 1.0, NORMAL, 1.0),
+    "slash_t": SlashElliptical(0.5, 2.0, T3, 1.5),
+    "location_scale": LocationScaleSymmetric(Uniform(-1.0, 1.0), 0.1, 3.0),
+    "normal_mixture": MixtureFamily(
+        [Elliptical(0.0, 1.0, NORMAL), Elliptical(0.0, 3.0, NORMAL)], [0.5, 0.5], unimodal=True
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
+@pytest.mark.parametrize("name", sorted(SCALE_MIXTURE_BASES))
+def test_scale_mixture_exact_for_unimodal_symmetric_bases(name, n):
+    base, atoms, count = SCALE_MIXTURE_BASES[name], [(1.0, 0.3), (2.5, 0.7)], 4000
+    batch = sample_cm_scale_mixture(base, atoms, n, count, seed=n)
+    assert batch.metadata["exact"]
+    assert batch.joint_center == n * base.center
+    assert verify_constant_sum(batch, batch.joint_center, 1e-8).passed
+    c = base.center
+
+    def mix_cdf(x):  # c + theta (Y - c) with theta ~ H
+        return sum(p * base.cdf(c + (x - c) / v) for v, p in atoms)
+
+    for column in batch.data.T:
+        assert stats.kstest(column, mix_cdf).statistic <= 1.63 / math.sqrt(count)
+
+
+class _ZeroDensityDraws(Uniform):
+    """A uniform law whose sampler returns its center, its edge and points
+    past the edge, where the density is 0; density calls are counted."""
+
+    calls = 0
+
+    def sample_with(self, rng, count):
+        hi = self.hi
+        return np.resize([self.center, hi, np.nextafter(hi, np.inf), hi + 1.0, 1e300], count)
+
+    def _density(self, x):
+        self.calls += 1
+        if self.calls > 5000:
+            raise AssertionError("the Khintchine scale search does not end")
+        return super()._density(x)
+
+
+def test_scale_mixture_ends_where_the_density_is_zero():
+    base = _ZeroDensityDraws(-1.0, 1.0)
+    batch = sample_cm_scale_mixture(base, [(1.0, 1.0)], 3, 10, seed=0)
+    assert np.all(np.isfinite(batch.data))
+    assert np.max(np.abs(batch.row_sums())) <= 1e-12 * np.max(np.abs(batch.data))
 
 
 def test_scale_mixture_rejects_bad_base():

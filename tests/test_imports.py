@@ -111,6 +111,11 @@ def test_discrete_mixture_config_check_loads_neither_numpy_nor_scipy(tmp_path, s
     assert _loaded_after(code_text, NUMERIC) == []
 
 
+def test_couplings_import_loads_no_oracle():
+    # every coupling is exact: none needs the rearrangement algorithm
+    assert _loaded_after("import jointmix.couplings", ["jointmix.oracle"]) == []
+
+
 def test_package_import_loads_no_submodule():
     code = "import jointmix\nassert jointmix.__version__"
     submodules = [f"jointmix.{m}" for m in ("cli", *jointmix._EXPORTS)]

@@ -411,14 +411,16 @@ def test_verify_independent_draws_fail():
     assert report.max_abs_deviation > 1.0  # several sigma for sqrt(3) sums
 
 
-def test_verify_ra_approximate_batch_tolerances():
-    from jointmix.couplings import sample_cm_scale_mixture
-
-    batch = sample_cm_scale_mixture(
-        Uniform(-1, 1), [(1.0, 1.0)], 3, 1000, seed=2, ra_grid_m=256
-    )
-    assert verify_constant_sum(batch, 0.0, 0.05).passed
-    assert not verify_constant_sum(batch, 0.0, 1e-8).passed
+def test_verify_tolerances_on_a_known_deviation():
+    # an exact batch with one row moved off the center by 1e-4
+    batch = sample_jm_elliptical([0, 0, 0], [1, 1, 1], NORMAL, 1000, seed=2)
+    data = batch.data.copy()
+    data[17, 0] += 1e-4
+    loose = verify_constant_sum(data, 0.0, 0.05)
+    assert loose.passed
+    assert loose.max_abs_deviation == pytest.approx(1e-4, rel=1e-9)
+    assert not verify_constant_sum(data, 0.0, 1e-8).passed
+    assert verify_constant_sum(batch, 0.0, 1e-8).passed
 
 
 def test_verify_rejects_empty():
