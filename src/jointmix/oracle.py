@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,9 +133,31 @@ def _stable_argsort(keys):
     np.cumsum(~tie, out=base[1:])
     base *= m
     composite = base + order
-    composite.sort()
+    composite.sort(kind="stable")  # nearly sorted: a run-merging sort
     composite -= base
     return composite
+
+
+def _row_sums(cols):
+    """``np.column_stack(cols).sum(axis=1)``, bit for bit, without the (m, n)
+    matrix.
+
+    numpy adds each row's pairwise sum to +0.0, so a row of -0.0 sums to
+    +0.0.  Below 8 entries that sum runs left to right; up to 128 it keeps 8
+    interleaved partial sums, joins them as ((s0 + s1) + (s2 + s3)) +
+    ((s4 + s5) + (s6 + s7)) and adds the entries past the last multiple of 8
+    left to right.  Wider rows take numpy's own reduction.
+    """
+    n = len(cols)
+    if n > 128:
+        return np.column_stack(cols).sum(axis=1)
+    if n < 8:
+        return sum(cols[1:], 0.0 + cols[0])
+    s = cols[:8]
+    for i in range(8, n - n % 8, 8):
+        s = [a + b for a, b in zip(s, cols[i:i + 8])]
+    head = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+    return 0.0 + sum(cols[n - n % 8:], head)
 
 
 def _ra_single(grid_vals, init_perms, max_sweeps, tol):
@@ -142,31 +165,30 @@ def _ra_single(grid_vals, init_perms, max_sweeps, tol):
 
     Each column is re-sorted counter-monotonically against the sum of the
     others, which cannot increase the row-sum variance; the per-sweep variance
-    trajectory is recorded so monotonicity is checkable from outside.
+    trajectory is recorded so monotonicity is checkable from outside.  The
+    arrangement is held as n contiguous columns, and a column's new values
+    are gathered from its ascending grid column by the new permutation.
     """
     m, n = grid_vals.shape
     perms = [p.copy() for p in init_perms]
     cols = [grid_vals[perms[j], j] for j in range(n)]
-    x = np.column_stack(cols)
     desc_idx = np.arange(m - 1, -1, -1)
-    sorted_cols = [np.sort(grid_vals[:, j])[::-1] for j in range(n)]
-    trajectory = [float(np.var(x.sum(axis=1)))]
+    asc = [np.sort(grid_vals[:, j]) for j in range(n)]
+    trajectory = [float(np.var(_row_sums(cols)))]
     sweeps = 0
     converged = False
     for sweeps in range(1, max_sweeps + 1):
         changed = False
-        row_sums = x.sum(axis=1)
+        row_sums = _row_sums(cols)
         for j in range(n):
-            others = row_sums - x[:, j]
+            others = row_sums - cols[j]
             order = _stable_argsort(others)
-            new_col = np.empty(m)
-            new_col[order] = sorted_cols[j]
             new_perm = np.empty(m, dtype=int)
             new_perm[order] = desc_idx
             if not changed and not np.array_equal(new_perm, perms[j]):
                 changed = True
-            row_sums = others + new_col
-            x[:, j] = new_col
+            cols[j] = asc[j][new_perm]
+            row_sums = others + cols[j]
             perms[j] = new_perm
         var = float(np.var(row_sums))
         trajectory.append(var)
@@ -176,7 +198,7 @@ def _ra_single(grid_vals, init_perms, max_sweeps, tol):
         if trajectory[-2] - var < tol:
             converged = True
             break
-    row_sums = x.sum(axis=1)
+    row_sums = _row_sums(cols)
     spread = float(row_sums.max() - row_sums.min())
     std = float(np.std(row_sums))
     return np.array(perms), spread, std, sweeps, converged, trajectory
@@ -202,10 +224,19 @@ def ra_minimize(
 
     Restart 0 starts from the sorted (comonotone) arrangement; the rest from
     independent random column shuffles.  Ties between restarts break toward
-    the lexicographically smallest permutations, read row by row.
+    the lexicographically smallest permutations, read row by row.  A grid
+    whose column maxima of |x| sum past half the largest double is rejected:
+    below that bound no row sum, and no row sum less one column, overflows.
     """
     if grid.m < 2 or grid.n < 2:
         raise ValueError("need m >= 2 and n >= 2")
+    try:
+        bound = math.fsum(np.abs(grid.values).max(axis=0).tolist())
+    except OverflowError:  # the exact sum passed the largest double
+        bound = math.inf
+    if bound > 0.5 * sys.float_info.max:
+        raise ValueError("grid row sums can overflow: the column maxima of |x| sum "
+                         "past half the largest double")
     rng = np.random.default_rng(seed)
     best = None
     for r in range(max(restarts, 1)):

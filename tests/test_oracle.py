@@ -279,6 +279,45 @@ def test_ra_matches_stable_sort_reference(kind, n):
                           _reference_ra_minimize(grid, 4, seed))
 
 
+# lattice values and a pool of ties, signed zeros among them, so that row sums
+# tie often and columns hold -0.0
+_LATTICE = st.integers(-8, 8).map(lambda k: 0.25 * k)
+_TIE_POOL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 5e-324, -5e-324])
+_CELL = st.one_of(_LATTICE, _TIE_POOL, st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_ra_contiguous_sweep_matches_reference(data):
+    m, n = data.draw(st.integers(2, 30)), data.draw(st.integers(2, 20))
+    cells = data.draw(st.lists(st.one_of(_LATTICE, _TIE_POOL), min_size=m * n, max_size=m * n))
+    values = np.sort(np.reshape(cells, (m, n)), axis=0)
+    if data.draw(st.booleans()):
+        values[:, data.draw(st.integers(0, n - 1))] = -0.0
+    grid = QuantileGrid(values)
+    restarts, seed = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2**32 - 1))
+    max_sweeps = data.draw(st.integers(1, 30))
+    _assert_bit_identical(ra_minimize(grid, max_sweeps=max_sweeps, restarts=restarts, seed=seed),
+                          _reference_ra_minimize(grid, restarts, seed, max_sweeps=max_sweeps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_row_sums_match_numpy_reduction(data):
+    # n past 16 and 24 takes more than one block of 8 partial sums; past 128,
+    # numpy's own reduction
+    m = data.draw(st.integers(1, 12))
+    n = data.draw(st.one_of(st.integers(1, 40), st.integers(127, 140)))
+    cells = np.reshape(data.draw(st.lists(_CELL, min_size=m * n, max_size=m * n)), (m, n))
+    cols = [cells[:, j].copy() for j in range(n)]
+    if data.draw(st.booleans()):
+        cols[data.draw(st.integers(0, n - 1))] = np.full(m, -0.0)
+    want = np.column_stack(cols).sum(axis=1)
+    assert np.array_equal(oracle._row_sums(cols).view(np.int64), want.view(np.int64))
+    assert np.array_equal(oracle._row_sums([np.full(m, -0.0)] * n).view(np.int64),
+                          np.zeros(m).view(np.int64))
+
+
 def test_ra_restart_tie_break_matches_reference():
     # every restart of an antithetic pair reaches spread 0, so the permutations
     # alone pick the winner
@@ -291,25 +330,24 @@ def test_ra_restart_tie_break_matches_reference():
 
 
 def test_ra_overflowing_row_sums_match_reference(monkeypatch):
-    # rows that draw +1.5e308 twice and -1.5e308 twice sum to inf + (-inf) in
-    # numpy's pairwise sum, so some sort keys are NaN and the others are not
+    # rows that draw +1.5e308 twice and -1.5e308 twice would sum to
+    # inf + (-inf) in numpy's pairwise sum; the grid is rejected before any
+    # column is sorted
     m, big = 40, 1.5e308
     pos = np.r_[np.zeros(m // 2), np.full(m // 2, big)]
     neg = np.r_[np.full(m // 2, -big), np.zeros(m // 2)]
     grid = QuantileGrid(np.column_stack([pos, pos, neg, neg] + [np.linspace(-1, 1, m)] * 6))
-    mixed = []
+    calls = []
     helper = oracle._stable_argsort
 
     def spy(keys):
-        mixed.append(0 < np.isnan(keys).sum() < keys.size)
+        calls.append(keys.size)
         return helper(keys)
 
     monkeypatch.setattr(oracle, "_stable_argsort", spy)
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = ra_minimize(grid, restarts=3, seed=4)
-        ref = _reference_ra_minimize(grid, 3, seed=4)
-    assert any(mixed)
-    _assert_bit_identical(res, ref)
+    with pytest.raises(ValueError, match="overflow"):
+        ra_minimize(grid, restarts=3, seed=4)
+    assert calls == []
 
 
 # --- brute force ------------------------------------------------------------
