@@ -41,10 +41,6 @@ _CSV_EOL = "\r\n"  # csv.writer's line terminator
 _CSV_BLOCK_ROWS = 4096  # rows formatted by one % operation
 _TINY = np.finfo(float).tiny
 _BIG = np.finfo(float).max
-# relative distance from the level beyond which no rounding of a density
-# reverses f(c + t) > level: 1.4e-14, where a slash-t density's rounding moves
-# it by up to 3.8e-15
-_DECIDED = 2.0**-46
 
 
 class PolygonInequalityError(ValueError):
@@ -335,94 +331,25 @@ def _khintchine_scale(base: UnivariateFamily, rng: np.random.Generator, count: i
     Given a base draw x, P(T > t) = f(c + t) / f(x) for t >= |x - c|, so T is
     the top of the level set {t : f(c + t) > U f(x)}: doubling from |x - c|
     brackets it, up to the largest double, and bisection closes the bracket
-    to adjacent doubles.  The bisection evaluates f only at its midpoints
-    inside the bracket of ``_decided_bracket``; the others are decided there.
-    Every loop ends, also where f(x) is 0 or NaN.
+    to adjacent doubles.  Both loops end, also where f(x) is 0 or NaN.
     """
     c = base.center
     x = base.sample_with(rng, count)
-    fx = base.density(x)
-    level = rng.uniform(size=count) * fx
+    level = rng.uniform(size=count) * base.density(x)
     lo = np.abs(x - c)
     hi = np.maximum(2.0 * np.minimum(lo, 0.5 * _BIG), _TINY)  # 2 lo, at most _BIG
-    g_lo, g_hi = fx - level, np.empty(count)  # f(c + lo) is f(x) up to rounding
     run = np.arange(count)
     while run.size:
-        f = base.density(c + hi[run])
-        g_hi[run] = f - level[run]
-        run = run[(hi[run] < _BIG) & (f > level[run])]
-        lo[run], g_lo[run] = hi[run], g_hi[run]
-        hi[run] = 2.0 * np.minimum(hi[run], 0.5 * _BIG)
-    a, b = _decided_bracket(base, lo, hi, g_lo, g_hi, level)
-    t, rows = np.empty(count), np.arange(count)
-    while rows.size:
-        mid = 0.5 * lo + 0.5 * hi
-        keep = (lo < mid) & (mid < hi)  # a double is left between lo and hi
-        if not keep.all():
-            t[rows[~keep]] = lo[~keep]
-            rows, lo, hi, a, b, level, mid = (v[keep] for v in (rows, lo, hi, a, b, level, mid))
-        up = mid <= a
-        ask = np.flatnonzero(~up & (mid < b))
-        if ask.size:
-            up[ask] = base.density(c + mid[ask]) > level[ask]
-        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-    return t
-
-
-def _decided_bracket(base, lo, hi, g_lo, g_hi, level):
-    """Points lo <= a < b <= hi that decide the bisection's midpoints outside
-    (a, b) without evaluating f: where an end moved, f there lies beyond a
-    factor 1 +- _DECIDED of the level, farther than any rounding of f, so
-    f(c + t) is above the level at every t <= a and not above it at every
-    t >= b.
-
-    Near T the computed f is not monotone in its last bits, so the
-    bisection's T rests on the midpoints it evaluates inside (a, b).  An
-    Illinois secant search on g(t) = f(c + t) - level narrows (a, b); two
-    steps that leave more than half of it are followed by a bisection step.
-    A step within the factor ends the search, flanked on each side at three
-    times the distance over which g moves by the margin.  A step that leaves
-    g as it was at the end it replaces has met a flat piece of a step
-    density, where the bisection itself is faster, and ends the search too.
-    """
-    c = base.center
-    a, b, margin = lo.copy(), hi.copy(), _DECIDED * level
-    rows = np.flatnonzero((g_lo > margin) & (g_hi < -margin))  # the rows still searched
-    zero = np.zeros(lo.size)
-    # per row: the bracket, g at its ends, level, margin, the bracket's width two
-    # steps back, the steps since then and the end the last step moved (+1 lo, -1 hi)
-    state = np.stack([lo, hi, g_lo, g_hi, level, margin, hi - lo, zero, zero])[:, rows]
-    while rows.size:
-        lo, hi, g_lo, g_hi, level, margin, span, steps, side = state
-        window = steps == 2
-        bisect = window & (hi - lo > 0.5 * span)
-        span[window], steps[window] = (hi - lo)[window], 0.0
-        steps += 1.0
-        t = np.where(bisect, 0.5 * lo + 0.5 * hi, lo + (hi - lo) * (g_lo / (g_lo - g_hi)))
-        g = np.full(rows.size, np.nan)
-        inside = np.flatnonzero((lo < t) & (t < hi))
-        g[inside] = base.density(c + t[inside]) - level[inside]
-        up, down = g > margin, g < -margin
-        flat = (up & (g == g_lo)) | (down & (g == g_hi))
-        near = np.flatnonzero(~(up | down) & ~np.isnan(g))
-        if near.size:
-            tn, ln, hn = t[near], lo[near], hi[near]
-            slope = np.where(tn - ln < hn - tn, g_lo[near] / (tn - ln), -g_hi[near] / (hn - tn))
-            gap = 3.0 * margin[near] / slope
-            pts = np.concatenate([np.maximum(tn - gap, ln), np.minimum(tn + gap, hn)])
-            g_pts = base.density(c + pts) - np.tile(level[near], 2)
-            left, right = g_pts[:near.size] > margin[near], g_pts[near.size:] < -margin[near]
-            lo[near[left]], hi[near[right]] = pts[:near.size][left], pts[near.size:][right]
-        # Illinois: the end a step keeps for the second time running has its g halved
-        g_hi[up & (side > 0)] *= 0.5
-        g_lo[down & (side < 0)] *= 0.5
-        lo[up], g_lo[up] = t[up], g[up]
-        hi[down], g_hi[down] = t[down], g[down]
-        side[:] = up.astype(float) - down
-        done = ~(up | down) | flat
-        a[rows[done]], b[rows[done]] = lo[done], hi[done]
-        rows, state = rows[~done], state[:, ~done]
-    return a, b
+        run = run[(hi[run] < _BIG) & (base.density(c + hi[run]) > level[run])]
+        lo[run], hi[run] = hi[run], 2.0 * np.minimum(hi[run], 0.5 * _BIG)
+    run = np.arange(count)
+    while run.size:
+        mid = 0.5 * lo[run] + 0.5 * hi[run]
+        keep = (lo[run] < mid) & (mid < hi[run])
+        run, mid = run[keep], mid[keep]
+        up = base.density(c + mid) > level[run]
+        lo[run[up]], hi[run[~up]] = mid[up], mid[~up]
+    return lo
 
 
 def sample_matrix_variate_cm(

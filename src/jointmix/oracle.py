@@ -225,8 +225,10 @@ def ra_minimize(
     Restart 0 starts from the sorted (comonotone) arrangement; the rest from
     independent random column shuffles.  Ties between restarts break toward
     the lexicographically smallest permutations, read row by row.  A grid
-    whose column maxima of |x| sum past half the largest double is rejected:
-    below that bound no row sum, and no row sum less one column, overflows.
+    whose column maxima of |x| sum to B > sqrt(max / m) / 4, max the largest
+    double, is rejected: below that bound no row sum, no row sum less one
+    column and no sum of the m squared deviations in the variance (at most
+    4 m B^2, a quarter of max) overflows.
     """
     if grid.m < 2 or grid.n < 2:
         raise ValueError("need m >= 2 and n >= 2")
@@ -234,9 +236,9 @@ def ra_minimize(
         bound = math.fsum(np.abs(grid.values).max(axis=0).tolist())
     except OverflowError:  # the exact sum passed the largest double
         bound = math.inf
-    if bound > 0.5 * sys.float_info.max:
+    if bound > 0.25 * math.sqrt(sys.float_info.max / grid.m):
         raise ValueError("grid row sums can overflow: the column maxima of |x| sum "
-                         "past half the largest double")
+                         "past sqrt(max / m) / 4, max the largest double")
     rng = np.random.default_rng(seed)
     best = None
     for r in range(max(restarts, 1)):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from jointmix import couplings
 from jointmix.couplings import (
     EquicorrelationPlan,
     PolygonInequalityError,
@@ -275,66 +274,6 @@ def test_scale_mixture_exact_for_unimodal_symmetric_bases(name, n):
 
     for column in batch.data.T:
         assert stats.kstest(column, mix_cdf).statistic <= 1.63 / math.sqrt(count)
-
-
-def _reference_khintchine_scale(base, rng, count):
-    """The T search by doubling and bisection alone, with f evaluated at every
-    midpoint; the base's density calls are counted in points."""
-    big, tiny = np.finfo(float).max, np.finfo(float).tiny
-    points = 0
-
-    def above(t, level):
-        nonlocal points
-        points += t.size
-        return base.density(c + t) > level
-
-    c = base.center
-    x = base.sample_with(rng, count)
-    level = rng.uniform(size=count) * base.density(x)
-    lo = np.abs(x - c)
-    hi = np.maximum(2.0 * np.minimum(lo, 0.5 * big), tiny)
-    run = np.arange(count)
-    while run.size:
-        run = run[(hi[run] < big) & above(hi[run], level[run])]
-        lo[run], hi[run] = hi[run], 2.0 * np.minimum(hi[run], 0.5 * big)
-    run = np.arange(count)
-    while run.size:
-        mid = 0.5 * lo[run] + 0.5 * hi[run]
-        keep = (lo[run] < mid) & (mid < hi[run])
-        run, mid = run[keep], mid[keep]
-        up = above(mid, level[run])
-        lo[run[up]], hi[run[~up]] = mid[up], mid[~up]
-    return lo, points + count
-
-
-class _CountingDensity:
-    """Wraps a base, counting the points its density is evaluated at."""
-
-    def __init__(self, base):
-        self.base, self.points = base, 0
-        self.center = base.center
-
-    def density(self, x):
-        self.points += np.size(x)
-        return self.base.density(x)
-
-    def sample_with(self, rng, count):
-        return self.base.sample_with(rng, count)
-
-
-@pytest.mark.parametrize("name", sorted(SCALE_MIXTURE_BASES))
-def test_khintchine_scale_matches_bisection_reference(name):
-    base, count = _CountingDensity(SCALE_MIXTURE_BASES[name]), 4000
-    got = couplings._khintchine_scale(base, np.random.default_rng(7), count)
-    want, ref_points = _reference_khintchine_scale(base.base, np.random.default_rng(7), count)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    # the secant search pays off on smooth densities and costs the bisection
-    # about what it did on step densities
-    per_row, ref_per_row = base.points / count, ref_points / count
-    if name.startswith("uniform") or name == "location_scale":
-        assert per_row <= ref_per_row + 1.0
-    else:
-        assert per_row <= 24.0 < 54.0 <= ref_per_row
 
 
 class _ZeroDensityDraws(Uniform):

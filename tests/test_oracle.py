@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -329,14 +330,19 @@ def test_ra_restart_tie_break_matches_reference():
                               _reference_ra_minimize(grid, 10, seed))
 
 
-def test_ra_overflowing_row_sums_match_reference(monkeypatch):
+def _overflowing_grids():
     # rows that draw +1.5e308 twice and -1.5e308 twice would sum to
-    # inf + (-inf) in numpy's pairwise sum; the grid is rejected before any
-    # column is sorted
+    # inf + (-inf) in numpy's pairwise sum
     m, big = 40, 1.5e308
     pos = np.r_[np.zeros(m // 2), np.full(m // 2, big)]
     neg = np.r_[np.full(m // 2, -big), np.zeros(m // 2)]
-    grid = QuantileGrid(np.column_stack([pos, pos, neg, neg] + [np.linspace(-1, 1, m)] * 6))
+    yield np.column_stack([pos, pos, neg, neg] + [np.linspace(-1, 1, m)] * 6)
+    # finite row sums whose squares in np.var overflow (past ~1.3e154)
+    yield np.column_stack([np.linspace(-1e160, 1e160, 20)] * 3)
+
+
+def test_ra_overflowing_row_sums_match_reference(monkeypatch):
+    # the grids are rejected before any column is sorted
     calls = []
     helper = oracle._stable_argsort
 
@@ -345,9 +351,27 @@ def test_ra_overflowing_row_sums_match_reference(monkeypatch):
         return helper(keys)
 
     monkeypatch.setattr(oracle, "_stable_argsort", spy)
-    with pytest.raises(ValueError, match="overflow"):
-        ra_minimize(grid, restarts=3, seed=4)
+    for values in _overflowing_grids():
+        with pytest.raises(ValueError, match="overflow"):
+            ra_minimize(QuantileGrid(values), restarts=3, seed=4)
     assert calls == []
+
+
+def test_ra_overflow_bound_edge():
+    # column maxima of |x| summing to just under the bound keep every row
+    # sum, the variance trajectory and the stddev finite; two-point columns
+    # start the comonotone restart at the largest deviations, +-bound.  Just
+    # past the bound the grid is rejected.
+    m, n = 20, 3
+    edge = 0.25 * math.sqrt(sys.float_info.max / m) / n
+    column = np.r_[np.full(m // 2, -1.0), np.full(m // 2, 1.0)]
+    with np.errstate(all="raise"):
+        res = ra_minimize(QuantileGrid(np.column_stack([column * edge * (1 - 1e-12)] * n)),
+                          restarts=2, seed=1)
+    assert all(math.isfinite(v) for v in res.variance_trajectory)
+    assert math.isfinite(res.row_sum_spread) and math.isfinite(res.row_sum_stddev)
+    with pytest.raises(ValueError, match="overflow"):
+        ra_minimize(QuantileGrid(np.column_stack([column * edge * (1 + 1e-12)] * n)))
 
 
 # --- brute force ------------------------------------------------------------
