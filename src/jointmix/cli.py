@@ -200,15 +200,7 @@ def cmd_sample(args):
                 raise CliError("--with-sum is not available for the matrix coupling")
             p = _option(cfg, "p", args.p, int)
             sigma_p = np.asarray(_rows(cfg.get("sigma_p", np.eye(p).tolist()), "sigma_p"))
-            mbatch = couplings.sample_matrix_variate_cm(p, sigma_p, g, n, count, seed)
-            mbatch.write_csv(out)
-            sidecar = {"seed": seed, "coupling": "matrix", "p": p, "n": n, "rows": count,
-                       "generator": g.spec(), "joint_center": [0.0] * p,
-                       "config": _echo_config(args, cfg)}
-            with open(out + ".json", "w") as fh:
-                json.dump(sidecar, fh, sort_keys=True, indent=2)
-                fh.write("\n")
-            return 0
+            batch = couplings.sample_matrix_variate_cm(p, sigma_p, g, n, count, seed)
         else:
             raise CliError(f"unknown coupling {kind!r}")
     except couplings.PolygonInequalityError as exc:

@@ -213,14 +213,24 @@ class MatrixSampleBatch:
     def column_sum_norms(self) -> np.ndarray:
         return np.linalg.norm(self.data.sum(axis=2), axis=1)
 
-    def write_csv(self, path) -> None:
+    def write_csv(self, path, include_sum: bool = False) -> None:
         """Write one draw per line: its index in a ``draw`` column, then the
-        entries column by column (``X<j>_<i>`` is entry i of vector j)."""
+        entries column by column (``X<j>_<i>`` is entry i of vector j).  The
+        vector sums are all zero, so there is no sum column to include."""
+        if include_sum:
+            raise ValueError("a matrix batch has no sum column")
         count, p, n = self.data.shape
         header = ["draw"] + [f"X{j + 1}_{i + 1}" for j in range(n) for i in range(p)]
         flat = self.data.transpose(0, 2, 1).reshape(count, n * p)
         table = np.column_stack([np.arange(count, dtype=float), flat])
         _write_csv(path, header, table, ["%d"] + [_FLOAT_FMT] * (n * p))
+
+    def sidecar(self) -> dict:
+        count, p, _ = self.data.shape
+        return {"seed": self.seed, "joint_center": [0.0] * p, "coupling": self.kind,
+                "rows": count, **self.metadata}
+
+    write_sidecar = SampleBatch.write_sidecar
 
 
 def _write_csv(path, header, table, cell_fmts=None) -> None:
@@ -377,8 +387,8 @@ def sample_matrix_variate_cm(
     return MatrixSampleBatch(
         data=data,
         seed=seed,
-        kind="matrix_variate",
-        metadata={"p": p, "n": n, "generator": g.spec(), "rho": plan.rho},
+        kind="matrix",
+        metadata={"p": p, "n": n, "generator": g.spec()},
     )
 
 

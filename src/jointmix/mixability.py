@@ -4,16 +4,16 @@ Verdicts are three-valued (JM / NotJM / Unknown).  Sufficient conditions never
 emit NotJM and necessary conditions never emit JM; only the unimodal
 location-scale criterion is an iff and may emit both.  Every certificate
 stores enough numeric inputs that ``replay_certificate`` reproduces the
-verdict bit for bit, and the builders take their verdict from that replay,
-so each decision rule is written once.
+verdict bit for bit.  ``_RULES`` declares each type's fields and its rule,
+as a signed margin, once; the builders take their verdict from that rule.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .generators import CharacteristicGenerator
 
@@ -53,14 +53,7 @@ class MixabilityVerdict:
     certificate: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "verdict": self.verdict,
-                "joint_center": self.joint_center,
-                "certificate": self.certificate,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "MixabilityVerdict":
@@ -75,13 +68,6 @@ class MixabilityVerdict:
 # ---------------------------------------------------------------------------
 # Scale inequality (exact comparison, no tolerance)
 # ---------------------------------------------------------------------------
-
-def _scale_inequality_holds(thetas) -> bool:
-    # the rounded exact sum has the sign of sum(thetas) - 2 max(thetas); max
-    # is subtracted twice rather than doubled, which could overflow
-    top = max(thetas)
-    return _rounded_sum([*thetas, -top, -top]) >= 0.0
-
 
 def _rounded_sum(values: list) -> float:
     # the exact sum rounded once, also past an overflowing partial sum; with
@@ -100,11 +86,18 @@ def _rounded_sum(values: list) -> float:
             return math.inf if total > 0 else -math.inf
 
 
+def _scale_margin(cert: dict) -> float:
+    # sum(thetas) - 2 max(thetas) rounded once, max subtracted twice, not
+    # doubled, which could overflow; a NaN that max() skips stays in the sum
+    top = max(cert["thetas"])
+    return _rounded_sum([*cert["thetas"], -top, -top])
+
+
 def check_scale_inequality(thetas) -> bool:
-    return replay_certificate(_scale_certificate(thetas, iff=True)) == JM
+    return _decide(_RULES["scale_inequality"], {**_scale_fields(thetas), "iff": True}) == JM
 
 
-def _scale_certificate(thetas, iff: bool) -> dict:
+def _scale_fields(thetas) -> dict:
     thetas = [float(t) for t in thetas]
     if not thetas:
         raise ValueError("need at least one scale")
@@ -114,7 +107,7 @@ def _scale_certificate(thetas, iff: bool) -> dict:
     # strict JSON has no infinity: an overflowed sum is "inf", as nu is in
     # CharacteristicGenerator.spec()
     sums = {k: v if math.isfinite(v) else "inf" for k, v in sums.items()}
-    return {"type": "scale_inequality", "thetas": thetas, **sums, "iff": iff}
+    return {"thetas": thetas, **sums}
 
 
 def _joint_center(mus, count: int) -> float:
@@ -127,11 +120,11 @@ def _joint_center(mus, count: int) -> float:
     return _rounded_sum(mus)
 
 
-def _replayed(cert: dict, joint_center: float | None = None) -> MixabilityVerdict:
-    """The verdict that ``cert`` replays to; a JM verdict carries the
-    joint center."""
-    verdict = replay_certificate(cert)
-    return MixabilityVerdict(verdict, joint_center if verdict == JM else None, cert)
+def _certify(kind: str, fields: dict, joint_center: float | None = None) -> MixabilityVerdict:
+    """``fields`` as a ``kind`` certificate, with its rule's verdict; JM carries the center."""
+    fields["type"] = kind
+    verdict = _decide(_RULES[kind], fields)
+    return MixabilityVerdict(verdict, joint_center if verdict == JM else None, fields)
 
 
 def jm_verdict_unimodal_location_scale(base: UnivariateFamily, thetas, mus) -> MixabilityVerdict:
@@ -140,13 +133,10 @@ def jm_verdict_unimodal_location_scale(base: UnivariateFamily, thetas, mus) -> M
     thetas = [float(t) for t in thetas]
     center = _joint_center(mus, len(thetas))
     if not (base.symmetric and base.unimodal):
-        return _replayed({
-            "type": "hypothesis_violation",
-            "reason": "base must be unimodal and symmetric",
-            "symmetric": bool(base.symmetric),
-            "unimodal": bool(base.unimodal),
-        })
-    return _replayed(_scale_certificate(thetas, iff=True), center)
+        return _certify("hypothesis_violation", {"reason": "base must be unimodal and symmetric",
+                                                 "symmetric": bool(base.symmetric),
+                                                 "unimodal": bool(base.unimodal)})
+    return _certify("scale_inequality", {**_scale_fields(thetas), "iff": True}, center)
 
 
 def jm_verdict_elliptical(sigmas, mus, g: CharacteristicGenerator) -> MixabilityVerdict:
@@ -156,10 +146,10 @@ def jm_verdict_elliptical(sigmas, mus, g: CharacteristicGenerator) -> Mixability
     families applies and the verdict is NotJM."""
     sigmas = [float(s) for s in sigmas]
     center = _joint_center(mus, len(sigmas))
-    cert = {**_scale_certificate(sigmas, iff=False), "generator": g.spec()}
-    if replay_certificate(cert) != JM:
-        cert.update(iff=True, unimodal_fallback=True)
-    return _replayed(cert, center)
+    fields = {**_scale_fields(sigmas), "generator": g.spec()}
+    res = _certify("scale_inequality", {**fields, "iff": False}, center)
+    fallback = {**fields, "iff": True, "unimodal_fallback": True}
+    return res if res.verdict == JM else _certify("scale_inequality", fallback, center)
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +177,10 @@ def not_jm_bounded_symmetric(families, a: float) -> MixabilityVerdict:
         if not (fam.symmetric and fam.center == 0.0):
             raise HypothesisViolation("families must be symmetric about 0")
     point = n * a / (n + 1.0)
-    return _replayed({
-        "type": "bounded_symmetric",
-        "a": a,
-        "n": n,
-        "evaluation_point": point,
-        "cdf_values": [float(fam.cdf(point)) for fam in families],
-        "threshold": (n + 1.0) / (2.0 * n + 1.0),
-    })
+    cdf_values = [float(fam.cdf(point)) for fam in families]
+    return _certify("bounded_symmetric", {"a": a, "n": n, "evaluation_point": point,
+                                          "cdf_values": cdf_values,
+                                          "threshold": (n + 1.0) / (2.0 * n + 1.0)})
 
 
 def not_jm_unbounded_symmetric(families, a_grid) -> MixabilityVerdict:
@@ -205,24 +191,15 @@ def not_jm_unbounded_symmetric(families, a_grid) -> MixabilityVerdict:
     for fam in families:
         if not (fam.symmetric and fam.center == 0.0):
             raise HypothesisViolation("families must be symmetric about 0")
-    threshold = n / (2.0 * n + 1.0)
-    grid = [float(a) for a in a_grid]
-    cert = {
-        "type": "unbounded_symmetric",
-        "n": n,
-        "threshold": threshold,
-        "a_grid": grid,
-        "witness_a": None,
-        "witness_masses": None,
-    }
-    for a in grid:
-        if a <= 0:
-            continue
-        masses = [float(fam.cdf(a) - fam.cdf(n * a / (n + 1.0))) for fam in families]
-        if all(m >= threshold for m in masses):
-            cert.update(witness_a=a, witness_masses=masses)
-            break
-    return _replayed(cert)
+    search = {"n": n, "threshold": n / (2.0 * n + 1.0), "a_grid": [float(a) for a in a_grid]}
+    for a in search["a_grid"]:
+        if a > 0:
+            masses = [float(fam.cdf(a) - fam.cdf(n * a / (n + 1.0))) for fam in families]
+            witness = {"witness_a": a, "witness_masses": masses}
+            res = _certify("unbounded_symmetric", {**search, **witness})
+            if res.verdict == NOT_JM:
+                return res
+    return _certify("unbounded_symmetric", {**search, "witness_a": None, "witness_masses": None})
 
 
 def default_a_grid(sigmas, points: int = 64):
@@ -239,10 +216,6 @@ def default_a_grid(sigmas, points: int = 64):
 # Skew-normal family certificates
 # ---------------------------------------------------------------------------
 
-def _skewnormal_bound(cdf_term: float, n: int, neg_prob: float) -> float:
-    return cdf_term + (n - 1) * neg_prob
-
-
 def skewnormal_noncm_certificate(n: int, lam: float) -> MixabilityVerdict:
     """Not n-CM when F_Y(n E) + (n-1) P(Y < 0) < 1 for Y ~ SN(0, 1, |lam|),
     E the skew-normal mean.  At lam = 0 the bound can never fire."""
@@ -255,16 +228,9 @@ def skewnormal_noncm_certificate(n: int, lam: float) -> MixabilityVerdict:
     mean = sn.mean()
     cdf_term = float(sn.cdf(n * mean))
     neg_prob = 0.5 - math.atan(lam_abs) / math.pi
-    cert = {
-        "type": "skew_normal",
-        "n": int(n),
-        "lam": float(lam),
-        "mean": mean,
-        "cdf_term": cdf_term,
-        "neg_prob": neg_prob,
-        "bound": _skewnormal_bound(cdf_term, int(n), neg_prob),
-    }
-    return _replayed(cert)
+    return _certify("skew_normal", {"n": int(n), "lam": float(lam), "mean": mean,
+                                    "cdf_term": cdf_term, "neg_prob": neg_prob,
+                                    "bound": cdf_term + (int(n) - 1) * neg_prob})
 
 
 def skewnormal_threshold(n: int, lo: float = 0.0, hi: float = 1e8, tol: float = 1e-6) -> float:
@@ -295,40 +261,74 @@ def ssmn_noncm_certificate(n: int, lam: float, atoms) -> MixabilityVerdict:
         {"atom": v, "prob": p, "certificate": skewnormal_noncm_certificate(n, lam * v).certificate}
         for v, p in atoms
     ]
-    return _replayed({"type": "ssmn", "n": int(n), "lam": float(lam), "atoms": sub})
+    return _certify("ssmn", {"n": int(n), "lam": float(lam), "atoms": sub})
 
 
 # ---------------------------------------------------------------------------
-# Certificate replay
+# Certificate table and replay
 # ---------------------------------------------------------------------------
+
+class _Rule(NamedTuple):
+    """A certificate type: the fields its certificates hold, and its rule as a
+    signed margin, which gives ``verdict`` when >= 0 (> 0 if ``strict``),
+    Unknown when NaN, and ``otherwise(cert)`` else."""
+
+    fields: tuple
+    margin: Callable[[dict], float]
+    verdict: str = NOT_JM
+    strict: bool = False
+    otherwise: Callable[[dict], str] = lambda cert: UNKNOWN
+
+
+def _least(margins: list) -> float:
+    # min(), but NaN when there is no margin or a NaN one, which min() skips
+    return min(margins) if margins and not any(map(math.isnan, margins)) else math.nan
+
+
+def _ssmn_margin(cert: dict) -> float:
+    # each atom's own skew-normal rule: NotJM only when every atom fires
+    return _least([_checked(e.get("certificate"), "skew_normal").margin(e["certificate"])
+                   for e in cert["atoms"]])
+
+
+_RULES = {
+    "scale_inequality": _Rule(("thetas", "total", "twice_max", "iff"), _scale_margin, JM,
+                              otherwise=lambda c: NOT_JM if c["iff"] else UNKNOWN),
+    "bounded_symmetric": _Rule(("a", "n", "evaluation_point", "cdf_values", "threshold"),
+                               lambda c: _least([c["threshold"] - v for v in c["cdf_values"]])),
+    "unbounded_symmetric": _Rule(("n", "threshold", "a_grid", "witness_a", "witness_masses"),
+                                 lambda c: _least([m - c["threshold"]
+                                                   for m in c["witness_masses"] or ()])),
+    "skew_normal": _Rule(("n", "lam", "mean", "cdf_term", "neg_prob", "bound"),
+                         lambda c: 1.0 - (c["cdf_term"] + (c["n"] - 1) * c["neg_prob"]),
+                         strict=True),
+    "ssmn": _Rule(("n", "lam", "atoms"), _ssmn_margin, strict=True),
+    "hypothesis_violation": _Rule(("reason", "symmetric", "unimodal"), lambda c: math.nan),
+}
+
+
+def _checked(cert, kind: str | None = None) -> _Rule:
+    """The rule of ``cert`` (of type ``kind``, if given); ValueError if malformed."""
+    try:
+        rule = _RULES[cert["type"]]
+    except (KeyError, TypeError):  # no type, an unknown one, or not a JSON object
+        rule = None
+    if rule is None or kind not in (None, cert["type"]):
+        raise ValueError(f"not a certificate of {kind or 'a known'} type: {cert!r:.80}")
+    missing = [name for name in rule.fields if name not in cert]
+    if missing:
+        raise ValueError(f"{cert['type']} certificate lacks {', '.join(map(repr, missing))}")
+    return rule
+
+
+def _decide(rule: _Rule, cert: dict) -> str:
+    margin = rule.margin(cert)
+    if margin > 0.0 or (margin == 0.0 and not rule.strict):
+        return rule.verdict
+    return UNKNOWN if math.isnan(margin) else rule.otherwise(cert)
+
 
 def replay_certificate(cert: dict) -> str:
-    """Recompute the verdict from a certificate's stored numeric inputs."""
-    kind = cert.get("type")
-    if kind == "scale_inequality":
-        if _scale_inequality_holds(cert["thetas"]):
-            return JM
-        if cert.get("iff"):
-            return NOT_JM
-        return UNKNOWN
-    if kind == "bounded_symmetric":
-        if all(v <= cert["threshold"] for v in cert["cdf_values"]):
-            return NOT_JM
-        return UNKNOWN
-    if kind == "unbounded_symmetric":
-        masses = cert.get("witness_masses")
-        if masses is not None and all(m >= cert["threshold"] for m in masses):
-            return NOT_JM
-        return UNKNOWN
-    if kind == "skew_normal":
-        bound = _skewnormal_bound(cert["cdf_term"], cert["n"], cert["neg_prob"])
-        return NOT_JM if bound < 1.0 else UNKNOWN
-    if kind == "ssmn":
-        if cert["atoms"] and all(
-            replay_certificate(entry["certificate"]) == NOT_JM for entry in cert["atoms"]
-        ):
-            return NOT_JM
-        return UNKNOWN
-    if kind == "hypothesis_violation":
-        return UNKNOWN
-    raise ValueError(f"unknown certificate type {kind!r}")
+    """Recompute the verdict from a certificate's stored numeric inputs; an
+    unknown type or a missing declared field raises ValueError."""
+    return _decide(_checked(cert), cert)

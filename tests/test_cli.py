@@ -104,6 +104,32 @@ def test_verify_wrong_center_fails(tmp_path, capsys):
     assert json.loads(rep_out)["passed"] is False
 
 
+def test_verify_fails_one_altered_row_of_a_heavy_tailed_batch(tmp_path, capsys):
+    # slash q = 0.3 draws: a bound from the mean |entry| would allow ~1.7e3
+    # on every row here; a row of small entries keeps its own small bound
+    out = tmp_path / "heavy.csv"
+    run(capsys, "sample", "--coupling", "slash", "--q", "0.3", "--sigmas", "2,1.5,1",
+        "--mus", "1,2,3", "-N", "2000", "--seed", "4", "-o", str(out))
+    code, rep_out, _ = run(capsys, "verify", "-i", str(out), "-C", "6")
+    assert code == 0
+    x = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.abs(x).max() > 1e6
+    row = int(np.argmin(np.abs(x).sum(axis=1)))
+    x[row, 0] += 100.0
+    np.savetxt(out, x, fmt="%.17g", delimiter=",", header="X1,X2,X3", comments="")
+    code, rep_out, _ = run(capsys, "verify", "-i", str(out), "-C", "6")
+    report = json.loads(rep_out)
+    assert code == 1 and report["passed"] is False and report["worst_row"] == row
+
+
+def test_verify_rejects_a_negative_or_nan_tolerance(tmp_path, capsys):
+    out = tmp_path / "draws.csv"
+    run(capsys, "sample", "--sigmas", "1,1", "-N", "10", "-o", str(out))
+    for tol in ("-1e-8", "nan"):
+        code, rep_out, err = run(capsys, "verify", "-i", str(out), "-C", "0", f"--rel-tol={tol}")
+        assert code == EXIT_USAGE and rep_out == "" and "rel_tol" in err
+
+
 def test_sample_scale_inequality_violated(tmp_path, capsys):
     code, _, err = run(
         capsys, "sample", "--coupling", "elliptical", "--sigmas", "3,1,1",

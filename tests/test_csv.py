@@ -101,6 +101,11 @@ def test_matrix_csv_matches_csv_writer(tmp_path, capsys):
         for k in range(10_001)
     ]
     assert path.read_bytes() == _reference_csv(header, rows)
+    # the sidecar is the one SampleBatch writes, from the batch's own fields
+    sidecar = json.loads((tmp_path / "m.csv.json").read_text())
+    assert {k: v for k, v in sidecar.items() if k != "config"} == mbatch.sidecar()
+    with pytest.raises(ValueError, match="no sum column"):
+        mbatch.write_csv(tmp_path / "s.csv", include_sum=True)
 
 
 # --- verify ----------------------------------------------------------------

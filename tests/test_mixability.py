@@ -26,6 +26,7 @@ from jointmix.mixability import (
     jm_verdict_unimodal_location_scale,
     not_jm_bounded_symmetric,
     not_jm_unbounded_symmetric,
+    replay_certificate,
     skewnormal_noncm_certificate,
     skewnormal_threshold,
     ssmn_noncm_certificate,
@@ -297,6 +298,7 @@ def _verdict_battery():
         skewnormal_noncm_certificate(2, 50.0),
         skewnormal_noncm_certificate(3, 0.5),
         ssmn_noncm_certificate(2, 100.0, [(0.5, 0.5), (2.0, 0.5)]),
+        jm_verdict_unimodal_location_scale(BimodalPower(1, 1), [1, 1, 1], [0, 0, 0]),
     ]
 
 
@@ -305,6 +307,163 @@ def test_certificate_replay_bit_for_bit():
         round_tripped = MixabilityVerdict.from_json(res.to_json())
         assert round_tripped.replay() == res.verdict
         assert round_tripped.to_json() == res.to_json()
+
+
+def test_replay_rejects_malformed_certificates():
+    # every field a certificate type declares is required, also in an SSMN atom
+    for res in _verdict_battery():
+        for name in res.certificate:
+            if name in ("type", "generator", "unimodal_fallback"):
+                continue
+            cert = {k: v for k, v in res.certificate.items() if k != name}
+            with pytest.raises(ValueError, match=repr(name)):
+                replay_certificate(cert)
+    with pytest.raises(ValueError, match="'cdf_term'"):
+        replay_certificate({"type": "skew_normal", "n": 3})
+    atoms = ssmn_noncm_certificate(2, 100.0, [(0.5, 0.5)]).certificate["atoms"]
+    del atoms[0]["certificate"]["neg_prob"]
+    with pytest.raises(ValueError, match="'neg_prob'"):
+        replay_certificate({"type": "ssmn", "n": 2, "lam": 100.0, "atoms": atoms})
+    scale = jm_verdict_elliptical([1, 1, 1], [0, 0, 0], NORMAL).certificate
+    bad_atom = {"atom": 1.0, "prob": 1.0, "certificate": scale}
+    for cert in ({"type": "no_such_type"}, {}, [], "skew_normal",
+                 {"type": "ssmn", "n": 2, "lam": 1.0, "atoms": [bad_atom]},
+                 {"type": "ssmn", "n": 2, "lam": 1.0, "atoms": [{"atom": 1.0}]}):
+        with pytest.raises(ValueError):
+            replay_certificate(cert)
+    with pytest.raises(ValueError, match="'cdf_term'"):
+        MixabilityVerdict.from_json('{"verdict": "NotJM", "certificate": '
+                                    '{"type": "skew_normal", "n": 3}}').replay()
+
+
+# --- replay at the boundaries -------------------------------------------------
+#
+# Each rule is restated here as plain comparisons, as the six-way if-chain
+# once wrote it; a NaN anywhere gives Unknown.  The inputs sit on, or one
+# float step either side of, each threshold.
+
+def _near(x):
+    return st.sampled_from([x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)])
+
+
+def _with_nan(draw, values):
+    """``values`` with a NaN at a drawn position, or unchanged."""
+    values = list(values)
+    at = draw(st.none() | st.integers(0, len(values) - 1))
+    if at is not None:
+        values[at] = math.nan
+    return values
+
+
+@st.composite
+def _scale_cert(draw):
+    # dyadic parts sum exactly: the largest scale equals, or is one float step
+    # off, the sum of the others, as (2, 1, 1) is
+    unit = 2.0 ** draw(st.integers(-8, 8))
+    parts = [k * unit for k in draw(st.lists(st.integers(1, 64), min_size=1, max_size=5))]
+    thetas = draw(st.permutations([*parts, draw(_near(sum(parts)))]))
+    return {"type": "scale_inequality", "thetas": _with_nan(draw, thetas),
+            "total": 0.0, "twice_max": 0.0, "iff": draw(st.booleans())}
+
+
+@st.composite
+def _bounded_cert(draw):
+    n = draw(st.integers(1, 3))
+    threshold = (n + 1.0) / (2.0 * n + 1.0)
+    values = draw(st.lists(_near(threshold) | st.floats(0.0, 1.0), min_size=2 * n + 1,
+                           max_size=2 * n + 1))
+    threshold, *values = _with_nan(draw, [threshold, *values])
+    return {"type": "bounded_symmetric", "a": 1.0, "n": n, "evaluation_point": 0.5,
+            "cdf_values": values, "threshold": threshold}
+
+
+@st.composite
+def _unbounded_cert(draw):
+    n = draw(st.integers(1, 3))
+    threshold = n / (2.0 * n + 1.0)
+    masses = draw(st.none() | st.lists(_near(threshold) | st.floats(0.0, 1.0),
+                                       min_size=2 * n + 1, max_size=2 * n + 1))
+    if masses is not None:
+        threshold, *masses = _with_nan(draw, [threshold, *masses])
+    return {"type": "unbounded_symmetric", "n": n, "threshold": threshold, "a_grid": [1.0],
+            "witness_a": None if masses is None else 1.0, "witness_masses": masses}
+
+
+@st.composite
+def _skew_cert(draw):
+    # a dyadic neg_prob makes cdf_term + (n - 1) neg_prob exactly 1 at the
+    # middle choice of cdf_term
+    n = draw(st.integers(2, 6))
+    neg_prob = draw(st.integers(0, 2 ** 10 // (n - 1))) / 2.0 ** 10
+    cdf_term, neg_prob = _with_nan(draw, [draw(_near(1.0 - (n - 1) * neg_prob)), neg_prob])
+    return {"type": "skew_normal", "n": n, "lam": 1.0, "mean": 0.5, "cdf_term": cdf_term,
+            "neg_prob": neg_prob, "bound": 1.0}
+
+
+@st.composite
+def _ssmn_cert(draw):
+    atoms = [{"atom": 1.0, "prob": 0.5, "certificate": c}
+             for c in draw(st.lists(_skew_cert(), max_size=3))]
+    # the last atom alone sits exactly on the bound: it does not fire
+    if draw(st.booleans()):
+        atoms.append({"atom": 2.0, "prob": 0.5, "certificate": {
+            "type": "skew_normal", "n": 3, "lam": 2.0, "mean": 0.5, "cdf_term": 0.5,
+            "neg_prob": 0.25, "bound": 1.0}})
+    return {"type": "ssmn", "n": 3, "lam": 1.0, "atoms": atoms}
+
+
+def _plain_rule(cert):
+    kind = cert["type"]
+    if kind == "scale_inequality":
+        thetas = cert["thetas"]
+        if any(map(math.isnan, thetas)):
+            return UNKNOWN
+        exact = [Fraction(t) for t in thetas]
+        if sum(exact) >= 2 * max(exact):
+            return JM
+        return NOT_JM if cert["iff"] else UNKNOWN
+    if kind == "bounded_symmetric":
+        return NOT_JM if all(v <= cert["threshold"] for v in cert["cdf_values"]) else UNKNOWN
+    if kind == "unbounded_symmetric":
+        masses = cert["witness_masses"]
+        return NOT_JM if masses and all(m >= cert["threshold"] for m in masses) else UNKNOWN
+    if kind == "skew_normal":
+        return NOT_JM if cert["cdf_term"] + (cert["n"] - 1) * cert["neg_prob"] < 1.0 else UNKNOWN
+    if kind == "ssmn":
+        atoms = cert["atoms"]
+        fires = [_plain_rule(a["certificate"]) == NOT_JM for a in atoms]
+        return NOT_JM if atoms and all(fires) else UNKNOWN
+    return UNKNOWN
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_scale_cert(), _bounded_cert(), _unbounded_cert(), _skew_cert(), _ssmn_cert()))
+def test_replay_matches_plain_rules_at_the_boundary(cert):
+    assert replay_certificate(cert) == _plain_rule(cert)
+
+
+def test_replay_boundary_cases():
+    exact = {"total": 4.0, "twice_max": 4.0, "iff": True}
+    assert replay_certificate({"type": "scale_inequality", "thetas": [2.0, 1.0, 1.0], **exact}) == JM
+    # a NaN gives Unknown in any position, also where max() would skip it
+    for thetas in ([math.nan, 1.0, 1.0], [1.0, math.nan, 1.0], [3.0, 1.0, math.nan]):
+        cert = {"type": "scale_inequality", "thetas": thetas, **exact}
+        assert replay_certificate(cert) == UNKNOWN
+    bounded = {"type": "bounded_symmetric", "a": 1.0, "n": 1, "evaluation_point": 0.5,
+               "threshold": 2.0 / 3.0}
+    assert replay_certificate({**bounded, "cdf_values": [2.0 / 3.0] * 3}) == NOT_JM
+    for values in ([0.5, math.nan, 0.5], [0.5, 0.5, math.nan], [math.nan, 0.5, 0.5]):
+        assert replay_certificate({**bounded, "cdf_values": values}) == UNKNOWN
+    skew = {"type": "skew_normal", "n": 3, "lam": 2.0, "mean": 0.5, "cdf_term": 0.5,
+            "neg_prob": 0.25, "bound": 1.0}
+    assert replay_certificate(skew) == UNKNOWN
+    assert replay_certificate({**skew, "cdf_term": 0.5 - 2.0 ** -53}) == NOT_JM
+    fires = {**skew, "cdf_term": 0.25}
+    ssmn = {"type": "ssmn", "n": 3, "lam": 1.0}
+    assert replay_certificate({**ssmn, "atoms": [{"certificate": fires}] * 2}) == NOT_JM
+    last_stays = [{"certificate": fires}, {"certificate": skew}]
+    assert replay_certificate({**ssmn, "atoms": last_stays}) == UNKNOWN
+    assert replay_certificate({**ssmn, "atoms": []}) == UNKNOWN
 
 
 # --- soundness against the RA oracle ---------------------------------------

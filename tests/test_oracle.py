@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jointmix import oracle
-from jointmix.couplings import sample_jm_elliptical
+from jointmix.couplings import sample_jm_elliptical, sample_jm_slash
 from jointmix.families import BimodalPower, Elliptical, SkewNormal, Uniform, UnivariateFamily
 from jointmix.generators import CharacteristicGenerator
 from jointmix.oracle import (
@@ -462,7 +462,7 @@ def test_verify_exact_batch_passes():
     batch = sample_jm_elliptical([1, 2, 3], [1, 1, 1], NORMAL, 1000, seed=0)
     report = verify_constant_sum(batch, 6.0, 1e-8)
     assert report.passed
-    assert report.ecf_deviation <= 3.0 / math.sqrt(1000)
+    assert 0.0 <= report.worst_ratio <= 1.0
 
 
 def test_verify_independent_draws_fail():
@@ -483,6 +483,36 @@ def test_verify_tolerances_on_a_known_deviation():
     assert loose.max_abs_deviation == pytest.approx(1e-4, rel=1e-9)
     assert not verify_constant_sum(data, 0.0, 1e-8).passed
     assert verify_constant_sum(batch, 0.0, 1e-8).passed
+
+
+def test_verify_bounds_each_row_by_its_own_entries():
+    # slash q = 0.3 draws reach 1e11, so a bound from the mean |entry| allows
+    # ~1.2e3 on every row; row 24931, (4.57, 1.33, 0.09), is allowed ~1e-7
+    batch = sample_jm_slash([1, 2, 3], [2, 1.5, 1], NORMAL, 0.3, 10**5, seed=1)
+    exact = verify_constant_sum(batch, 6.0, 1e-8)
+    assert exact.passed and exact.worst_ratio < 1e-6
+    data = batch.data.copy()
+    data[24931, 0] += 100.0
+    report = verify_constant_sum(data, 6.0, 1e-8)
+    assert not report.passed
+    assert report.worst_row == 24931
+    bound = 1e-8 * (1.0 + 6.0 + np.abs(data[24931]).sum())
+    assert report.worst_ratio == pytest.approx(abs(data[24931].sum() - 6.0) / bound)
+
+
+def test_verify_worst_row_and_zero_tolerance():
+    data = np.array([[1.0, -1.0], [2.0, -1.0], [0.5, 0.5], [3.0, -3.0]])
+    report = verify_constant_sum(data, 0.0, 0.1)
+    # bounds 0.1 * (1 + |x1| + |x2|): 0.3, 0.4, 0.2, 0.7; deviations 0, 1, 1, 0
+    assert report.worst_row == 2 and report.worst_ratio == pytest.approx(5.0)
+    assert not report.passed
+    exact = verify_constant_sum(data[[0, 3]], 0.0, 0.0)
+    assert exact.passed and exact.worst_ratio == 0.0
+    nan = verify_constant_sum(np.array([[1.0, -1.0], [np.nan, 0.0]]), 0.0, 1.0)
+    assert not nan.passed and nan.worst_row == 1
+    for bad in (-1e-8, math.nan):
+        with pytest.raises(ValueError, match="rel_tol"):
+            verify_constant_sum(data, 0.0, bad)
 
 
 def test_verify_rejects_empty():
