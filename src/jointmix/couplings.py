@@ -183,7 +183,7 @@ class SampleBatch:
         if include_sum:
             header.append("S")
             data = np.column_stack([data, data.sum(axis=1)])
-        _write_csv(path, header, data)
+        _write_csv(path, header, data, [_FLOAT_FMT] * data.shape[1])
 
     def sidecar(self) -> dict:
         return {
@@ -233,15 +233,13 @@ class MatrixSampleBatch:
     write_sidecar = SampleBatch.write_sidecar
 
 
-def _write_csv(path, header, table, cell_fmts=None) -> None:
+def _write_csv(path, header, table, cell_fmts) -> None:
     """Write ``header`` and the rows of the 2-D array ``table`` as CSV, cells
-    formatted by ``cell_fmts`` (``%.17g`` each by default).
+    formatted by ``cell_fmts``, one format per column.
 
     The bytes are those ``csv.writer`` gives for the formatted strings, which
     never need quoting; each block of rows is formatted by one ``%``.
     """
-    if cell_fmts is None:
-        cell_fmts = [_FLOAT_FMT] * table.shape[1]
     rowfmt = ",".join(cell_fmts) + _CSV_EOL
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + _CSV_EOL)

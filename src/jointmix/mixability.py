@@ -41,6 +41,11 @@ JM = "JM"
 NOT_JM = "NotJM"
 UNKNOWN = "Unknown"
 
+# the size of default_a_grid, and skewnormal_threshold's bisection bracket and width
+_A_GRID_POINTS = 64
+_THRESHOLD_BRACKET = (0.0, 1e8)
+_THRESHOLD_TOL = 1e-6
+
 
 class HypothesisViolation(ValueError):
     """Inputs do not satisfy the hypotheses of the requested criterion."""
@@ -202,14 +207,14 @@ def not_jm_unbounded_symmetric(families, a_grid) -> MixabilityVerdict:
     return _certify("unbounded_symmetric", {**search, "witness_a": None, "witness_masses": None})
 
 
-def default_a_grid(sigmas, points: int = 64):
+def default_a_grid(sigmas):
     """Log-spaced search grid for the unbounded-symmetric certificate."""
     import numpy as np
 
     sigmas = [float(s) for s in sigmas]
     lo = min(sigmas) / 10.0
     hi = 10.0 * max(sigmas)
-    return list(np.geomspace(lo, hi, points))
+    return list(np.geomspace(lo, hi, _A_GRID_POINTS))
 
 
 # ---------------------------------------------------------------------------
@@ -221,23 +226,25 @@ def skewnormal_noncm_certificate(n: int, lam: float) -> MixabilityVerdict:
     E the skew-normal mean.  At lam = 0 the bound can never fire."""
     from .families import SkewNormal
 
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if not (float(n).is_integer() and n >= 2):
+        raise ValueError(f"n must be an integer >= 2, not {n!r}")
+    n = int(n)
     lam_abs = abs(float(lam))
     sn = SkewNormal(0.0, 1.0, lam_abs)
     mean = sn.mean()
     cdf_term = float(sn.cdf(n * mean))
     neg_prob = 0.5 - math.atan(lam_abs) / math.pi
-    return _certify("skew_normal", {"n": int(n), "lam": float(lam), "mean": mean,
+    return _certify("skew_normal", {"n": n, "lam": float(lam), "mean": mean,
                                     "cdf_term": cdf_term, "neg_prob": neg_prob,
-                                    "bound": cdf_term + (int(n) - 1) * neg_prob})
+                                    "bound": cdf_term + (n - 1) * neg_prob})
 
 
-def skewnormal_threshold(n: int, lo: float = 0.0, hi: float = 1e8, tol: float = 1e-6) -> float:
+def skewnormal_threshold(n: int) -> float:
     """Least |lambda| at which the certificate fires, by bisection.
 
     A numeric exploration aid, not a claim about the true CM threshold.
     """
+    lo, hi = _THRESHOLD_BRACKET
     if skewnormal_noncm_certificate(n, hi).verdict != NOT_JM:
         return math.inf
     for _ in range(200):
@@ -246,7 +253,7 @@ def skewnormal_threshold(n: int, lo: float = 0.0, hi: float = 1e8, tol: float = 
             hi = mid
         else:
             lo = mid
-        if hi - lo < tol:
+        if hi - lo < _THRESHOLD_TOL:
             break
     return hi
 
@@ -255,8 +262,8 @@ def ssmn_noncm_certificate(n: int, lam: float, atoms) -> MixabilityVerdict:
     """SSMN with finite discrete H: certify NotJM only when the skew-normal
     bound fires at lambda * v for every atom v of H."""
     atoms = [(float(v), float(p)) for v, p in atoms]
-    if any(v <= 0 for v, _ in atoms):
-        raise ValueError("H atoms must be positive")
+    if not atoms or any(v <= 0 for v, _ in atoms):
+        raise ValueError("H needs atoms, all positive")
     sub = [
         {"atom": v, "prob": p, "certificate": skewnormal_noncm_certificate(n, lam * v).certificate}
         for v, p in atoms
@@ -330,5 +337,10 @@ def _decide(rule: _Rule, cert: dict) -> str:
 
 def replay_certificate(cert: dict) -> str:
     """Recompute the verdict from a certificate's stored numeric inputs; an
-    unknown type or a missing declared field raises ValueError."""
-    return _decide(_checked(cert), cert)
+    unknown type, a missing declared field or one of the wrong JSON type
+    raises ValueError."""
+    rule = _checked(cert)
+    try:
+        return _decide(rule, cert)
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"{cert['type']} certificate field of the wrong type: {exc}") from None

@@ -157,7 +157,7 @@ def _row_sums(cols):
     return 0.0 + sum(cols[n - n % 8:], head)
 
 
-def _ra_single(grid_vals, init_perms, max_sweeps, tol):
+def _ra_single(grid_vals, init_perms, max_sweeps):
     """One RA run from the given initial permutations.
 
     Each column is re-sorted counter-monotonically against the sum of the
@@ -165,6 +165,8 @@ def _ra_single(grid_vals, init_perms, max_sweeps, tol):
     trajectory is recorded so monotonicity is checkable from outside.  The
     arrangement is held as n contiguous columns, and a column's new values
     are gathered from its ascending grid column by the new permutation.
+    The run stops at a sweep that changes no column or does not strictly
+    lower the variance: a rule without a constant, so scale-equivariant.
     """
     m, n = grid_vals.shape
     perms = [p.copy() for p in init_perms]
@@ -172,7 +174,6 @@ def _ra_single(grid_vals, init_perms, max_sweeps, tol):
     desc_idx = np.arange(m - 1, -1, -1)
     asc = [np.sort(grid_vals[:, j]) for j in range(n)]
     trajectory = [float(np.var(_row_sums(cols)))]
-    sweeps = 0
     converged = False
     for sweeps in range(1, max_sweeps + 1):
         changed = False
@@ -189,10 +190,7 @@ def _ra_single(grid_vals, init_perms, max_sweeps, tol):
             perms[j] = new_perm
         var = float(np.var(row_sums))
         trajectory.append(var)
-        if not changed:
-            converged = True
-            break
-        if trajectory[-2] - var < tol:
+        if not changed or not var < trajectory[-2]:
             converged = True
             break
     row_sums = _row_sums(cols)
@@ -213,7 +211,6 @@ def _precedes(spread, perms, best_spread, best_perms):
 def ra_minimize(
     grid: QuantileGrid,
     max_sweeps: int = 500,
-    tol: float = 1e-12,
     restarts: int = 10,
     seed: int = 0,
 ) -> RearrangementResult:
@@ -227,8 +224,8 @@ def ra_minimize(
     column and no sum of the m squared deviations in the variance (at most
     4 m B^2, a quarter of max) overflows.
     """
-    if grid.m < 2 or grid.n < 2:
-        raise ValueError("need m >= 2 and n >= 2")
+    if grid.m < 2 or grid.n < 2 or restarts < 1 or max_sweeps < 1:
+        raise ValueError("need m >= 2, n >= 2, restarts >= 1 and max_sweeps >= 1")
     try:
         bound = math.fsum(np.abs(grid.values).max(axis=0).tolist())
     except OverflowError:  # the exact sum passed the largest double
@@ -238,26 +235,16 @@ def ra_minimize(
                          "past sqrt(max / m) / 4, max the largest double")
     rng = np.random.default_rng(seed)
     best = None
-    for r in range(max(restarts, 1)):
+    for r in range(restarts):
         if r == 0:
             init = [np.arange(grid.m) for _ in range(grid.n)]
         else:
             init = [rng.permutation(grid.m) for _ in range(grid.n)]
-        perms, spread, std, sweeps, converged, traj = _ra_single(
-            grid.values, init, max_sweeps, tol
-        )
-        if best is None or _precedes(spread, perms, best[1], best[0]):
-            best = (perms, spread, std, sweeps, converged, traj)
+        run = _ra_single(grid.values, init, max_sweeps)
+        if best is None or _precedes(run[1], run[0], best[1], best[0]):
+            best = run
     perms, spread, std, sweeps, converged, traj = best
-    return RearrangementResult(
-        permutations=perms,
-        row_sum_spread=spread,
-        row_sum_stddev=std,
-        iterations=sweeps,
-        converged=converged,
-        restarts=max(restarts, 1),
-        variance_trajectory=traj,
-    )
+    return RearrangementResult(perms, spread, std, sweeps, converged, restarts, traj)
 
 
 def brute_force_min_spread(grid: QuantileGrid):

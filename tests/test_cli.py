@@ -316,12 +316,16 @@ def test_check_output_identical_across_runs(capsys):
     [
         ["check", "--example", "2.1", "--copies", "2"],
         ["oracle", "--example", "2.3", "--m", "1"],
+        ["oracle", "--example", "uniform", "--restarts", "-3"],
+        ["oracle", "--example", "uniform", "--restarts", "0"],
+        ["oracle", "--example", "uniform", "--max-sweeps", "-1"],
         ["sample", "--coupling", "slash", "--sigmas", "1,1,1", "--q", "0", "-o", "{tmp}/x.csv"],
         ["sample", "--coupling", "slash", "--sigmas", "1,1,1", "--q", "nan", "-o", "{tmp}/x.csv"],
         ["sample", "--coupling", "slash", "--sigmas", "1,1,1", "--q", "inf", "-o", "{tmp}/x.csv"],
         ["explore", "--n-grid", "1:1"],
     ],
-    ids=["check_even_copies", "oracle_m1", "sample_slash_q0", "sample_slash_qnan",
+    ids=["check_even_copies", "oracle_m1", "oracle_restarts_negative", "oracle_restarts_0",
+         "oracle_max_sweeps_negative", "sample_slash_q0", "sample_slash_qnan",
          "sample_slash_qinf", "explore_n1"],
 )
 def test_library_value_error_exits_usage(tmp_path, capsys, argv):

@@ -281,6 +281,21 @@ def test_ssmn_lambda_zero_unknown():
 def test_ssmn_rejects_nonpositive_atoms():
     with pytest.raises(ValueError):
         ssmn_noncm_certificate(2, 1.0, [(-1.0, 1.0)])
+    with pytest.raises(ValueError):
+        ssmn_noncm_certificate(2, 1.0, [])
+
+
+def test_certificates_reject_non_integer_n():
+    # F is evaluated at n E, so a certificate at n = 2.5 is no certificate at
+    # any whole n
+    for n in (2.5, 1.0, 1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="n must be an integer >= 2"):
+            skewnormal_noncm_certificate(n, 30.0)
+        with pytest.raises(ValueError, match="n must be an integer >= 2"):
+            ssmn_noncm_certificate(n, 30.0, [(1.0, 1.0)])
+    whole = skewnormal_noncm_certificate(2.0, 30.0).certificate
+    assert whole == skewnormal_noncm_certificate(2, 30.0).certificate
+    assert type(whole["n"]) is int
 
 
 # --- certificate replay -----------------------------------------------------
@@ -326,9 +341,14 @@ def test_replay_rejects_malformed_certificates():
         replay_certificate({"type": "ssmn", "n": 2, "lam": 100.0, "atoms": atoms})
     scale = jm_verdict_elliptical([1, 1, 1], [0, 0, 0], NORMAL).certificate
     bad_atom = {"atom": 1.0, "prob": 1.0, "certificate": scale}
+    # declared fields of the wrong JSON type
+    text_cdf = {**skewnormal_noncm_certificate(2, 50.0).certificate, "cdf_term": "0.5"}
+    scalar_cdfs = {"type": "bounded_symmetric", "a": 1.0, "n": 1, "evaluation_point": 0.5,
+                   "cdf_values": 5, "threshold": 2.0 / 3.0}
     for cert in ({"type": "no_such_type"}, {}, [], "skew_normal",
                  {"type": "ssmn", "n": 2, "lam": 1.0, "atoms": [bad_atom]},
-                 {"type": "ssmn", "n": 2, "lam": 1.0, "atoms": [{"atom": 1.0}]}):
+                 {"type": "ssmn", "n": 2, "lam": 1.0, "atoms": [{"atom": 1.0}]},
+                 {"type": "ssmn", "n": 2, "lam": 1.0, "atoms": [1]}, text_cdf, scalar_cdfs):
         with pytest.raises(ValueError):
             replay_certificate(cert)
     with pytest.raises(ValueError, match="'cdf_term'"):

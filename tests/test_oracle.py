@@ -155,6 +155,10 @@ def test_ra_refinement_for_jm_family():
 def test_ra_input_validation():
     with pytest.raises(ValueError):
         ra_minimize(QuantileGrid(np.zeros((4, 1))))
+    grid = discretize([Uniform(0, 1)] * 3, 10)
+    for sizes in ({"restarts": 0}, {"restarts": -3}, {"max_sweeps": 0}, {"max_sweeps": -1}):
+        with pytest.raises(ValueError, match="restarts >= 1 and max_sweeps >= 1"):
+            ra_minimize(grid, **sizes)
 
 
 # --- the RA's column sort ---------------------------------------------------
@@ -191,7 +195,7 @@ def test_stable_argsort_tie_heavy_and_nan(m):
         assert np.array_equal(oracle._stable_argsort(keys), np.argsort(keys, kind="stable"))
 
 
-def _reference_ra_single(grid_vals, init_perms, max_sweeps, tol):
+def _reference_ra_single(grid_vals, init_perms, max_sweeps):
     """The RA sweep as first written, on numpy's stable argsort."""
     m, n = grid_vals.shape
     perms = [p.copy() for p in init_perms]
@@ -222,7 +226,7 @@ def _reference_ra_single(grid_vals, init_perms, max_sweeps, tol):
         if not changed:
             converged = True
             break
-        if trajectory[-2] - var < tol:
+        if not var < trajectory[-2]:
             converged = True
             break
     row_sums = x.sum(axis=1)
@@ -231,7 +235,7 @@ def _reference_ra_single(grid_vals, init_perms, max_sweeps, tol):
     return np.array(perms), spread, std, sweeps, converged, trajectory
 
 
-def _reference_ra_minimize(grid, restarts, seed, max_sweeps=500, tol=1e-12):
+def _reference_ra_minimize(grid, restarts, seed, max_sweeps=500):
     """Best of the restarts by (spread, tuple of every permutation entry)."""
     rng = np.random.default_rng(seed)
     best = None
@@ -241,7 +245,7 @@ def _reference_ra_minimize(grid, restarts, seed, max_sweeps=500, tol=1e-12):
         else:
             init = [rng.permutation(grid.m) for _ in range(grid.n)]
         perms, spread, std, sweeps, converged, traj = _reference_ra_single(
-            grid.values, init, max_sweeps, tol
+            grid.values, init, max_sweeps
         )
         key = (spread, tuple(perms.ravel()))
         if best is None or key < best[0]:
@@ -317,6 +321,44 @@ def test_row_sums_match_numpy_reduction(data):
     assert np.array_equal(oracle._row_sums(cols).view(np.int64), want.view(np.int64))
     assert np.array_equal(oracle._row_sums([np.full(m, -0.0)] * n).view(np.int64),
                           np.zeros(m).view(np.int64))
+
+
+def _assert_scaled(res, ref, k):
+    """``res`` is ``ref`` on the grid scaled by 2**k: the same arrangement,
+    every row-sum statistic scaled exactly."""
+    assert np.array_equal(res.permutations, ref.permutations)
+    assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
+    assert res.row_sum_spread == math.ldexp(ref.row_sum_spread, k)
+    assert res.row_sum_stddev == math.ldexp(ref.row_sum_stddev, k)
+    assert res.variance_trajectory == [math.ldexp(v, 2 * k) for v in ref.variance_trajectory]
+
+
+# subnormal cells lose bits when scaled down, so the tie pool here has none
+_SCALABLE_CELL = st.one_of(_LATTICE, _TIE_POOL.filter(lambda x: abs(x) != 5e-324))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_ra_is_scale_equivariant(data):
+    # scaling by a power of two scales every row sum and variance exactly, so
+    # a stopping rule without a constant leaves the whole run unchanged
+    m, n = data.draw(st.integers(2, 30)), data.draw(st.integers(2, 20))
+    cells = data.draw(st.lists(_SCALABLE_CELL, min_size=m * n, max_size=m * n))
+    values = np.sort(np.reshape(cells, (m, n)), axis=0)
+    k = data.draw(st.integers(-60, 60))
+    restarts, seed = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2**32 - 1))
+    ref = ra_minimize(QuantileGrid(values), restarts=restarts, seed=seed)
+    _assert_scaled(ra_minimize(QuantileGrid(np.ldexp(values, k)), restarts=restarts, seed=seed),
+                   ref, k)
+
+
+@pytest.mark.parametrize("k", [-60, -30, 30])
+@pytest.mark.parametrize("kind", ["uniform", "student_t", "identical"])
+def test_ra_is_scale_equivariant_on_quantile_grids(kind, k):
+    grid = discretize(_ra_reference_grid(kind, 3), 1000)
+    ref = ra_minimize(grid, restarts=4, seed=k + 100)
+    _assert_scaled(ra_minimize(QuantileGrid(np.ldexp(grid.values, k)), restarts=4, seed=k + 100),
+                   ref, k)
 
 
 def test_ra_restart_tie_break_matches_reference():
