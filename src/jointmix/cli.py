@@ -61,18 +61,19 @@ def _rows(value, what):
     return [_numbers(row, f"a row of {what}") for row in value]
 
 
-def _option(cfg, key, default, kind=float):
-    """``cfg[key]``, else the command-line ``default``, as a ``kind``."""
-    value = cfg.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"{key} must be a number, not {value!r}") from exc
+_KINDS = {bool: "true or false", int: "an integer", float: "a number"}
 
 
-def _load_config(args):
+def _settings(args):
+    """Lay the ``--config`` JSON object over the parsed flags, in place.
+
+    A config key sets the flag, or config-only default, of the same name and
+    wins over it.  A key that is no setting of the subcommand, or a value of
+    the wrong type for a number or on/off setting, is a usage error.
+    Returns the settings that ran, for a sidecar to echo.
+    """
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 cfg = json.load(fh)
@@ -80,7 +81,24 @@ def _load_config(args):
             raise CliError(f"cannot read config: {exc}") from exc
         if not isinstance(cfg, dict):
             raise CliError("config must be a JSON object")
-    return cfg
+    settings = vars(args)
+    for key, value in cfg.items():
+        if key in ("command", "config", "func") or key not in settings:
+            raise CliError(f"config key {key!r} is not a setting of {args.command}")
+        kind = type(settings[key])
+        if kind in _KINDS:  # strings, lists and specs are parsed by the command
+            # is_integer() is False for inf and nan, so int() cannot overflow
+            if (isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float))
+                    or kind is int and isinstance(value, float) and not value.is_integer()):
+                raise CliError(f"{key} must be {_KINDS[kind]}, not {value!r}")
+            try:
+                value = kind(value)
+            except OverflowError as exc:  # an integer past the float range
+                raise CliError(f"{key} must be {_KINDS[kind]}, not {value!r}") from exc
+        settings[key] = value
+    echo = {k: v for k, v in settings.items() if k != "func" and v is not None}
+    echo["config_file"] = cfg
+    return echo
 
 
 def _from_spec(build, spec, what):
@@ -101,14 +119,11 @@ def _generator(spec):
 # check
 # ---------------------------------------------------------------------------
 
-def _example_verdict(name, args, cfg):
+def _example_verdict(args):
     from .families import BimodalMoment, BimodalPower, GeneralizedLogistic
     from .families import KotzType, MixtureFamily, Uniform
 
-    r = _option(cfg, "r", args.r, int)
-    a = _option(cfg, "a", args.a)
-    m = _option(cfg, "m", args.m, int)
-    copies = _option(cfg, "copies", args.copies, int)
+    name, a, copies = args.example, args.a, args.copies
     if name == "2.1":
         fam = Uniform(-a, a)
         return mixability.not_jm_bounded_symmetric([fam] * copies, a)
@@ -119,41 +134,37 @@ def _example_verdict(name, args, cfg):
         )
         return mixability.not_jm_unbounded_symmetric([fam] * copies, [a / 2, 3 * a / 4, a])
     if name == "2.3":
-        fam = BimodalPower(a, r)
+        fam = BimodalPower(a, args.r)
         return mixability.not_jm_bounded_symmetric([fam] * copies, a)
     if name == "2.4":
-        fam = BimodalMoment(m)
+        fam = BimodalMoment(args.m)
         return mixability.not_jm_bounded_symmetric([fam] * copies, 1.0)
     if name == "3.1":
-        fam = GeneralizedLogistic(_option(cfg, "alpha", 1.0), _option(cfg, "beta", 1.0))
+        fam = GeneralizedLogistic(args.alpha, args.beta)
         return mixability.jm_verdict_unimodal_location_scale(
             fam, [1.0] * copies, [0.0] * copies
         )
     if name == "3.2":
-        fam = KotzType(_option(cfg, "N", 2.0), _option(cfg, "m_k", 1.0),
-                       _option(cfg, "beta_k", 1.0))
+        fam = KotzType(args.N, args.m_k, args.beta_k)
         grid = mixability.default_a_grid([1.0])
         return mixability.not_jm_unbounded_symmetric([fam] * copies, grid)
     raise CliError(f"unknown example {name!r}")
 
 
 def cmd_check(args):
-    cfg = _load_config(args)
-    if args.example or cfg.get("example"):
-        verdict = _example_verdict(args.example or cfg["example"], args, cfg)
+    _settings(args)
+    if args.example:
+        verdict = _example_verdict(args)
     else:
-        sig_text = cfg.get("sigmas") or args.sigmas
-        if sig_text is None:
+        if args.sigmas is None:
             raise CliError("check needs --sigmas or --example")
-        sigmas = _numbers(sig_text, "sigmas")
+        sigmas = _numbers(args.sigmas, "sigmas")
         if not sigmas:
             raise CliError("empty sigma list")
-        mus_text = cfg.get("mus") or args.mus
-        mus = [0.0] * len(sigmas) if mus_text is None else _numbers(mus_text, "mus")
+        mus = [0.0] * len(sigmas) if args.mus is None else _numbers(args.mus, "mus")
         if len(mus) != len(sigmas):
             raise CliError("mus and sigmas must have equal length")
-        g = _generator(cfg.get("generator") or args.family)
-        verdict = mixability.jm_verdict_elliptical(sigmas, mus, g)
+        verdict = mixability.jm_verdict_elliptical(sigmas, mus, _generator(args.generator))
     print(verdict.to_json())
     return _VERDICT_EXIT[verdict.verdict]
 
@@ -168,54 +179,40 @@ def cmd_sample(args):
     from . import couplings
     from .families import Elliptical, family_from_spec
 
-    cfg = _load_config(args)
-    kind = cfg.get("coupling", args.coupling)
-    seed = _option(cfg, "seed", args.seed, int)
-    count = _option(cfg, "count", args.count, int)
-    n = _option(cfg, "n", args.n, int)
-    out = cfg.get("output", args.output)
-    if not isinstance(out, str):
+    settings = _settings(args)
+    kind, n, p, count, seed = args.coupling, args.n, args.p, args.count, args.seed
+    if not isinstance(args.output, str):
         raise CliError("sample needs an --output path")
-    g = _generator(cfg.get("generator") or args.generator)
+    g = _generator(args.generator)
     try:
         if kind == "elliptical" or kind == "slash":
-            sigmas = _numbers(cfg.get("sigmas") or args.sigmas or "", "sigmas")
+            sigmas = _numbers(args.sigmas or "", "sigmas")
             if not sigmas:
                 raise CliError("sample needs --sigmas")
-            mus_text = cfg.get("mus") or args.mus
-            mus = _numbers(mus_text, "mus") if mus_text else [0.0] * len(sigmas)
+            mus = _numbers(args.mus, "mus") if args.mus else [0.0] * len(sigmas)
             if kind == "elliptical":
                 batch = couplings.sample_jm_elliptical(mus, sigmas, g, count, seed)
             else:
-                q = _option(cfg, "q", args.q)
-                batch = couplings.sample_jm_slash(mus, sigmas, g, q, count, seed)
+                batch = couplings.sample_jm_slash(mus, sigmas, g, args.q, count, seed)
         elif kind == "scale_mixture":
-            base_spec = cfg.get("base")
-            base = (_from_spec(family_from_spec, base_spec, "family spec") if base_spec
-                    else Elliptical(args.mu, args.sigma, g))
-            atoms = _rows(cfg.get("H", [[1.0, 1.0]]), "H")
+            base = (Elliptical(args.mu, args.sigma, g) if args.base is None
+                    else _from_spec(family_from_spec, args.base, "family spec"))
+            atoms = _rows([[1.0, 1.0]] if args.H is None else args.H, "H")
             batch = couplings.sample_cm_scale_mixture(base, atoms, n, count, seed)
         elif kind == "matrix":
             if args.with_sum:
                 raise CliError("--with-sum is not available for the matrix coupling")
-            p = _option(cfg, "p", args.p, int)
-            sigma_p = np.asarray(_rows(cfg.get("sigma_p", np.eye(p).tolist()), "sigma_p"))
-            batch = couplings.sample_matrix_variate_cm(p, sigma_p, g, n, count, seed)
+            sigma_p = np.eye(p) if args.sigma_p is None else _rows(args.sigma_p, "sigma_p")
+            batch = couplings.sample_matrix_variate_cm(p, np.asarray(sigma_p), g, n, count, seed)
         else:
             raise CliError(f"unknown coupling {kind!r}")
     except couplings.PolygonInequalityError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    batch.metadata["config"] = _echo_config(args, cfg)
-    batch.write_csv(out, include_sum=args.with_sum)
-    batch.write_sidecar(out + ".json")
+    batch.metadata["config"] = settings
+    batch.write_csv(args.output, include_sum=args.with_sum)
+    batch.write_sidecar(args.output + ".json")
     return 0
-
-
-def _echo_config(args, cfg):
-    echo = {k: v for k, v in vars(args).items() if k not in ("func",) and v is not None}
-    echo["config_file"] = dict(cfg)
-    return echo
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +289,7 @@ def cmd_explore(args):
     out = args.output
     rows = []
     if args.mode == "skew":
-        ns = [int(v) for v in _parse_range(args.n_grid)]
+        ns = _parse_range(args.n_grid)
         lams = _parse_range(args.lambda_grid)
         _grid_size_check(ns, lams)
         header = ["n", "lambda", "bound", "fires"]
@@ -302,15 +299,16 @@ def cmd_explore(args):
                 rows.append(
                     [n, lam, res.certificate["bound"], int(res.verdict == mixability.NOT_JM)]
                 )
-    elif args.mode == "bimodal":
-        ms = [int(v) for v in _parse_range(args.m_grid)]
-        ns = [int(v) for v in _parse_range(args.n_grid)]
+    else:  # bimodal
+        ms, ns = _parse_range(args.m_grid), _parse_range(args.n_grid)
         _grid_size_check(ms, ns)
+        if not all(n.is_integer() for n in ns):
+            raise CliError(f"bimodal n must be whole numbers, not {args.n_grid!r}")
         header = ["m", "n", "max_cdf_value", "threshold", "fires"]
         for m in ms:
             for n in ns:
                 fam = BimodalMoment(m)
-                res = mixability.not_jm_bounded_symmetric([fam] * (2 * n + 1), 1.0)
+                res = mixability.not_jm_bounded_symmetric([fam] * (2 * int(n) + 1), 1.0)
                 cert = res.certificate
                 rows.append(
                     [
@@ -321,8 +319,6 @@ def cmd_explore(args):
                         int(res.verdict == mixability.NOT_JM),
                     ]
                 )
-    else:
-        raise CliError(f"unknown explore mode {args.mode!r}")
     target = open(out, "w", newline="") if out else sys.stdout
     try:
         writer = csv.writer(target)
@@ -343,10 +339,9 @@ def cmd_oracle(args):
     from . import oracle
     from .families import BimodalPower, Uniform, family_from_spec
 
-    cfg = _load_config(args)
-    fam_specs = cfg.get("families")
-    if fam_specs:
-        fams = _from_spec(lambda ds: [family_from_spec(d) for d in ds], fam_specs, "family spec")
+    _settings(args)
+    if args.families is not None:
+        fams = _from_spec(lambda ds: list(map(family_from_spec, ds)), args.families, "family spec")
     elif args.example == "2.3":
         fams = [BimodalPower(args.a, args.r)] * args.copies
     elif args.example == "uniform":
@@ -370,7 +365,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="mixability verdict")
-    p_check.add_argument("--family", default="normal", help="generator, e.g. student_t:3")
+    p_check.add_argument("--family", dest="generator", default="normal",
+                         help="generator, e.g. student_t:3")
     p_check.add_argument("--sigmas")
     p_check.add_argument("--mus")
     p_check.add_argument("--example", help="named preset: 2.1 .. 3.2")
@@ -379,7 +375,8 @@ def build_parser():
     p_check.add_argument("--m", type=int, default=1)
     p_check.add_argument("--copies", type=int, default=3)
     p_check.add_argument("--config")
-    p_check.set_defaults(func=cmd_check)
+    # settings only a config sets: the parameters of examples 3.1 and 3.2
+    p_check.set_defaults(func=cmd_check, alpha=1.0, beta=1.0, N=2.0, m_k=1.0, beta_k=1.0)
 
     p_sample = sub.add_parser("sample", help="draw constant-sum joint samples")
     p_sample.add_argument("--coupling", default="elliptical",
@@ -397,7 +394,8 @@ def build_parser():
     p_sample.add_argument("--with-sum", action="store_true")
     p_sample.add_argument("--output", "-o")
     p_sample.add_argument("--config")
-    p_sample.set_defaults(func=cmd_sample)
+    # config only: a base family spec, the atoms of H and the p x p scale
+    p_sample.set_defaults(func=cmd_sample, base=None, H=None, sigma_p=None)
 
     p_verify = sub.add_parser("verify", help="check a CSV of joint draws")
     p_verify.add_argument("--input", "-i", required=True)
@@ -423,7 +421,7 @@ def build_parser():
     p_oracle.add_argument("--max-sweeps", type=int, default=500)
     p_oracle.add_argument("--seed", type=int, default=42)
     p_oracle.add_argument("--config")
-    p_oracle.set_defaults(func=cmd_oracle)
+    p_oracle.set_defaults(func=cmd_oracle, families=None)  # config only
 
     return parser
 

@@ -279,6 +279,15 @@ def test_oracle_uniform(capsys):
     assert payload["stddev"] < 0.05
 
 
+def test_oracle_reads_ra_settings_from_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"example": "uniform", "m": 40, "restarts": 2}))
+    code, out, _ = run(capsys, "oracle", "--config", str(cfg))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["m"] == 40 and payload["restarts"] == 2
+
+
 def test_oracle_families_config(tmp_path, capsys):
     cfg = tmp_path / "fams.json"
     cfg.write_text(json.dumps({
@@ -407,6 +416,18 @@ def test_explore_rejects_grid_product_above_cap(capsys):
     assert out == "" and "grid" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--mode", "skew", "--n-grid", "2.5:3", "--lambda-grid", "30:30"],
+    ["--mode", "bimodal", "--m-grid", "0.5:1", "--n-grid", "1:1"],
+    ["--mode", "bimodal", "--m-grid", "1:1", "--n-grid", "1.5:2"],
+], ids=["skew_n", "bimodal_m", "bimodal_n"])
+def test_explore_rejects_a_fractional_count(capsys, argv):
+    # n and m count copies and moments: 2.5 is an error, not a row for 2
+    code, out, err = run(capsys, "explore", *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_parse_range_gives_typed_values():
     from jointmix.cli import _parse_range
 
@@ -476,6 +497,13 @@ _BAD_VALUE_CONFIGS = {
     "check_sigmas_a_number": ("check", {"sigmas": 5}),
     "check_mus_a_number": ("check", {"sigmas": [1.0, 1.0, 1.0], "mus": 7}),
     "check_r_null": ("check", {"example": "2.3", "r": None}),
+    "sample_seed_a_fraction": ("sample", {"sigmas": [1.0, 1.0], "seed": 3.7}),
+    "sample_seed_a_bool": ("sample", {"sigmas": [1.0, 1.0], "seed": True}),
+    "sample_count_infinite": ("sample", {"sigmas": [1.0, 1.0], "count": math.inf}),
+    "sample_with_sum_a_string": ("sample", {"sigmas": [1.0, 1.0], "with_sum": "yes"}),
+    "sample_unknown_key": ("sample", {"sigmas": [1.0, 1.0], "sed": 3}),
+    "check_copies_infinite": ("check", {"example": "2.3", "copies": math.inf}),
+    "check_a_past_float_range": ("check", {"example": "2.1", "a": 10**400}),
 }
 
 
@@ -512,3 +540,21 @@ def test_mixture_base_sidecar_replays(tmp_path, capsys):
     replay_csv = tmp_path / "y.csv"
     assert run(capsys, "sample", "--config", str(cfg), "-N", "20", "-o", str(replay_csv))[0] == 0
     assert replay_csv.read_text() == out_csv.read_text()
+
+
+def test_sample_sidecar_echo_replays(tmp_path, capsys):
+    # config keys win over their flags, and the sidecar echoes the settings
+    # that ran: fed back as a config, they give the same bytes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sigmas": [1.0, 2.0, 1.5], "seed": 3, "count": 7}))
+    first = tmp_path / "a.csv"
+    argv = ["--config", str(cfg), "-N", "20", "--seed", "9", "-o", str(first)]
+    assert run(capsys, "sample", *argv)[0] == 0
+    echo = json.loads((tmp_path / "a.csv.json").read_text())["config"]
+    assert echo["seed"] == 3 and echo["count"] == 7
+    for key in ("command", "config", "config_file", "output"):
+        del echo[key]
+    cfg.write_text(json.dumps(echo))
+    second = tmp_path / "b.csv"
+    assert run(capsys, "sample", "--config", str(cfg), "-o", str(second))[0] == 0
+    assert second.read_bytes() == first.read_bytes()
