@@ -306,8 +306,8 @@ def sample_cm_scale_mixture(base: UnivariateFamily, atoms, n: int, count: int, s
     if not (base.symmetric and base.unimodal):
         raise ValueError("base must be unimodal and symmetric")
     atoms = [(float(v), float(p)) for v, p in atoms]
-    if any(v <= 0 or p <= 0 for v, p in atoms):
-        raise ValueError("H atoms need positive values and probabilities")
+    if not atoms or not all(0 < v < math.inf and 0 < p < math.inf for v, p in atoms):
+        raise ValueError("H atoms need positive, finite values and probabilities")
     vals, probs = np.array(atoms).T
     rng = np.random.default_rng(seed)
     theta = rng.choice(vals, p=probs / probs.sum(), size=count)

@@ -468,34 +468,31 @@ class BimodalMoment(UnivariateFamily, spec="bimodal_moment"):
 # ---------------------------------------------------------------------------
 
 class MixtureFamily(UnivariateFamily, spec="mixture"):
-    def __init__(self, components, weights, symmetric=None, unimodal=False, center=None):
+    """Finite mixture whose flags follow from its components: the center is
+    their common center, or else the weighted sum of their centers rounded
+    once; symmetric when every component is symmetric about it, unimodal when
+    every one is also unimodal.  ``symmetric=True`` states a symmetry that
+    holds only across components, such as a mirror-image pair."""
+
+    def __init__(self, components, weights, symmetric: bool = False):
         if len(components) != len(weights) or not components:
             raise FamilyError("components/weights mismatch")
+        if not isinstance(symmetric, bool):
+            raise FamilyError(f"symmetric must be true or false, not {symmetric!r}")
         w = np.asarray(weights, dtype=float)
         if not np.all((w > 0) & (w < np.inf)):
             raise FamilyError("weights must be positive and finite")
         self.components = list(components)
         self.weights = w.tolist()  # as given, so that a rebuilt spec is bit-identical
         self.probs = w / w.sum()
-        self.unimodal = bool(unimodal)
         los = [c.support[0] for c in components]
         his = [c.support[1] for c in components]
         self.support = (min(los), max(his))
-        if center is None:
-            center = np.dot(self.probs, [c.center for c in components])
-        self.center = _finite(center)
-        if symmetric is None:
-            symmetric = self._looks_symmetric()
-        self.symmetric = bool(symmetric)
-
-    def _looks_symmetric(self) -> bool:
-        lo, hi = self.support
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            lo, hi = self.center - 10.0, self.center + 10.0
-        grid = np.linspace(0, max(hi - self.center, self.center - lo), 101)
-        left = self.density(self.center - grid)
-        right = self.density(self.center + grid)
-        return bool(np.max(np.abs(left - right)) <= 1e-9 * (1 + np.max(right)))
+        centers = [c.center for c in components]
+        self.center = centers[0] if len(set(centers)) == 1 else math.fsum(self.probs * centers)
+        parts_symmetric = all(c.symmetric and c.center == self.center for c in components)
+        self.unimodal = parts_symmetric and all(c.unimodal for c in components)
+        self.symmetric = parts_symmetric or symmetric
 
     def _density(self, x):
         return sum(w * c.density(x) for w, c in zip(self.probs, self.components))
@@ -728,8 +725,7 @@ class SSMN(MixtureFamily, spec="ssmn"):
         self.lam = _finite(lam)
         self.atoms = atoms
         components = [SkewNormal(self.mu, self.sigma * v, self.lam * v) for v, _ in atoms]
-        super().__init__(components, [p for _, p in atoms], symmetric=self.lam == 0.0,
-                         unimodal=True, center=self.mu)
+        super().__init__(components, [p for _, p in atoms])
 
 
 # ---------------------------------------------------------------------------

@@ -262,8 +262,8 @@ def ssmn_noncm_certificate(n: int, lam: float, atoms) -> MixabilityVerdict:
     """SSMN with finite discrete H: certify NotJM only when the skew-normal
     bound fires at lambda * v for every atom v of H."""
     atoms = [(float(v), float(p)) for v, p in atoms]
-    if not atoms or any(v <= 0 for v, _ in atoms):
-        raise ValueError("H needs atoms, all positive")
+    if not atoms or not all(0 < v < math.inf and 0 < p <= 1 for v, p in atoms):
+        raise ValueError("H atoms need positive, finite values and probabilities in (0, 1]")
     sub = [
         {"atom": v, "prob": p, "certificate": skewnormal_noncm_certificate(n, lam * v).certificate}
         for v, p in atoms

@@ -61,6 +61,8 @@ def discretize(families, m: int) -> QuantileGrid:
     """
     if m < 2:
         raise ValueError("m must be at least 2")
+    if not len(families):
+        raise ValueError("discretize needs at least one family")
     probs = (np.arange(m) + 0.5) / m
     by_key = {}
     keys = []

@@ -332,10 +332,18 @@ def test_check_output_identical_across_runs(capsys):
         ["sample", "--coupling", "slash", "--sigmas", "1,1,1", "--q", "nan", "-o", "{tmp}/x.csv"],
         ["sample", "--coupling", "slash", "--sigmas", "1,1,1", "--q", "inf", "-o", "{tmp}/x.csv"],
         ["explore", "--n-grid", "1:1"],
+        ["check", "--example", "9.9"],
+        ["check", "--sigmas", ""],
+        ["check", "--sigmas", "1,1", "--mus", "1"],
+        ["sample", "-o", "{tmp}/x.csv"],
+        ["oracle", "--example", "foo"],
+        ["explore", "--lambda-grid", "1:2:3:4"],
     ],
     ids=["check_even_copies", "oracle_m1", "oracle_restarts_negative", "oracle_restarts_0",
          "oracle_max_sweeps_negative", "sample_slash_q0", "sample_slash_qnan",
-         "sample_slash_qinf", "explore_n1"],
+         "sample_slash_qinf", "explore_n1", "check_unknown_example", "check_empty_sigmas",
+         "check_mus_length", "sample_no_sigmas", "oracle_unknown_example",
+         "explore_four_part_range"],
 )
 def test_library_value_error_exits_usage(tmp_path, capsys, argv):
     code, out, err = run(capsys, *[a.replace("{tmp}", str(tmp_path)) for a in argv])
@@ -468,6 +476,11 @@ _BAD_FAMILY_SPECS = {
     "lo_a_string": {"family": "uniform", "lo": "a", "hi": 1.0},
     "components_a_number": {"family": "mixture", "components": 5, "weights": [1.0]},
     "generator_a_string": {"family": "elliptical", "mu": 0.0, "sigma": 1.0, "generator": "x"},
+    # unimodality follows from the components and cannot be stated
+    "mixture_unimodal": {"family": "mixture", "weights": [0.5, 0.5], "symmetric": True,
+                         "unimodal": True,
+                         "components": [{"family": "uniform", "lo": -1.0, "hi": -0.9},
+                                        {"family": "uniform", "lo": 0.9, "hi": 1.0}]},
 }
 
 
@@ -504,6 +517,14 @@ _BAD_VALUE_CONFIGS = {
     "sample_unknown_key": ("sample", {"sigmas": [1.0, 1.0], "sed": 3}),
     "check_copies_infinite": ("check", {"example": "2.3", "copies": math.inf}),
     "check_a_past_float_range": ("check", {"example": "2.1", "a": 10**400}),
+    "sample_H_value_nan": ("sample", {"coupling": "scale_mixture", "n": 3, "H": [[math.nan, 1.0]]}),
+    "sample_H_value_infinite": ("sample", {"coupling": "scale_mixture", "n": 3,
+                                           "H": [[math.inf, 1.0]]}),
+    "sample_H_probability_nan": ("sample", {"coupling": "scale_mixture", "n": 3,
+                                            "H": [[1.0, math.nan]]}),
+    "sample_coupling_unknown": ("sample", {"coupling": "foo"}),
+    "check_config_a_list": ("check", [1, 2]),
+    "oracle_no_families": ("oracle", {"families": []}),
 }
 
 
@@ -528,7 +549,7 @@ def test_mixture_base_sidecar_replays(tmp_path, capsys):
 
     normal = CharacteristicGenerator.normal()
     base = MixtureFamily([Elliptical(0.0, 1.0, normal), Elliptical(0.0, 2.0, normal)],
-                         [0.1, 0.2], unimodal=True)
+                         [0.1, 0.2])
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"coupling": "scale_mixture", "base": base.spec(), "n": 3}))
     out_csv = tmp_path / "x.csv"

@@ -254,7 +254,7 @@ SCALE_MIXTURE_BASES = {
     "slash_t": SlashElliptical(0.5, 2.0, T3, 1.5),
     "location_scale": LocationScaleSymmetric(Uniform(-1.0, 1.0), 0.1, 3.0),
     "normal_mixture": MixtureFamily(
-        [Elliptical(0.0, 1.0, NORMAL), Elliptical(0.0, 3.0, NORMAL)], [0.5, 0.5], unimodal=True
+        [Elliptical(0.0, 1.0, NORMAL), Elliptical(0.0, 3.0, NORMAL)], [0.5, 0.5]
     ),
 }
 
@@ -305,6 +305,10 @@ def test_scale_mixture_rejects_bad_base():
 
     with pytest.raises(ValueError):
         sample_cm_scale_mixture(BimodalPower(1, 1), [(1.0, 1.0)], 3, 10, seed=0)
+    # a mirror-image pair is symmetric by claim but has no mass near its center
+    pair = MixtureFamily([Uniform(-1.0, -0.9), Uniform(0.9, 1.0)], [0.5, 0.5], symmetric=True)
+    with pytest.raises(ValueError, match="unimodal"):
+        sample_cm_scale_mixture(pair, [(1.0, 1.0)], 3, 10, seed=0)
 
 
 # --- matrix-variate coupling ------------------------------------------------

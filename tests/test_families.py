@@ -138,7 +138,7 @@ def test_sampler_matches_cdf_ks(fam):
 
 _ROUND_TRIP_EXTRA = {
     "unimodal-normal-mixture": MixtureFamily(
-        [Elliptical(0.0, 1.0, NORMAL), Elliptical(0.0, 3.0, NORMAL)], [0.4, 0.6], unimodal=True
+        [Elliptical(0.0, 1.0, NORMAL), Elliptical(0.0, 3.0, NORMAL)], [0.4, 0.6]
     ),
     # w / w.sum() is not idempotent for these weights
     "weights-not-summing-to-1": MixtureFamily(
@@ -359,6 +359,38 @@ def test_mixture_weights_renormalized():
     assert fam.weights == [2.0, 2.0]  # as given
 
 
+_MIRROR_PAIR = [Uniform(-1.0, -0.9), Uniform(0.9, 1.0)]
+_NORMALS = [Elliptical(0.0, 1.0, NORMAL), Elliptical(0.0, 3.0, NORMAL)]
+
+
+@pytest.mark.parametrize("fam, center, symmetric, unimodal", [
+    # asymmetric parts that fall between the points of any coarse density grid
+    (MixtureFamily(_MIRROR_PAIR + [Uniform(-101.0, -100.9), Uniform(100.9, 101.0),
+                                   Uniform(30.1, 30.12), Uniform(-15.06, -15.05)],
+                   [0.47, 0.47, 0.01, 0.01, 0.01, 0.02]), None, False, False),
+    (MixtureFamily(_MIRROR_PAIR, [0.5, 0.5]), 0.0, False, False),
+    (MixtureFamily(_MIRROR_PAIR, [0.3, 0.3], symmetric=True), 0.0, True, False),
+    (MixtureFamily(_NORMALS, [0.5, 0.5]), 0.0, True, True),
+    (MixtureFamily(_NORMALS, [0.5, 0.5], symmetric=False), 0.0, True, True),
+    (MixtureFamily([Uniform(1.0, 3.0), Uniform(0.0, 4.0)], [0.1, 0.7]), 2.0, True, True),
+    (MixtureFamily([Uniform(1.0, 3.0), BimodalPower(1.0, 1)], [0.5, 0.5]), 1.0, False, False),
+    (SSMN(0.0, 1.0, 2.0, [(0.5, 0.5), (2.0, 0.5)]), 0.0, False, False),
+    (SSMN(1.5, 1.0, 0.0, [(0.5, 0.5), (2.0, 0.5)]), 1.5, True, True),
+], ids=["off_grid_asymmetry", "mirror_pair", "mirror_pair_stated", "normals",
+        "normals_stated_false", "common_center", "no_common_center", "ssmn_skewed", "ssmn_lam_0"])
+def test_mixture_flags_follow_from_components(fam, center, symmetric, unimodal):
+    assert (fam.symmetric, fam.unimodal) == (symmetric, unimodal)
+    if center is not None:
+        assert fam.center == center
+    clone = family_from_spec(fam.spec())
+    assert (clone.center, clone.symmetric, clone.unimodal) == (fam.center, symmetric, unimodal)
+
+
+def test_mixture_spec_fields():
+    fam = MixtureFamily(_MIRROR_PAIR, [0.5, 0.5], symmetric=True)
+    assert list(fam.spec()) == ["family", "components", "weights", "symmetric"]
+
+
 def test_invalid_inputs():
     with pytest.raises(FamilyError):
         Uniform(1.0, 0.0)
@@ -381,9 +413,6 @@ _WITH_PARAMETER = {
     "bimodal_power_a": lambda x: BimodalPower(x, 1),
     "bimodal_power_r": lambda x: BimodalPower(1.0, x),
     "bimodal_moment": lambda x: BimodalMoment(x),
-    "mixture_center": lambda x: MixtureFamily(
-        [Uniform(-1.0, 0.0), Uniform(0.0, 1.0)], [1, 1], center=x
-    ),
     "logistic_alpha": lambda x: GeneralizedLogistic(x, 1.0),
     "logistic_beta": lambda x: GeneralizedLogistic(1.0, x),
     "kotz_N": lambda x: KotzType(x, 1.0, 1.0),
@@ -415,8 +444,12 @@ def test_non_finite_parameter_rejected(name, bad):
     {"family": "mixture", "components": [{"family": "uniform", "lo": 0.0}], "weights": [1.0]},
     "uniform",
     {"family": "normal"},
+    *({"family": "mixture", "components": [{"family": "uniform", "lo": -1.0, "hi": 1.0}],
+       "weights": [1.0], **extra}
+      for extra in ({"unimodal": True}, {"center": 0.0}, {"symmetric": "no"})),
 ], ids=["missing", "unknown", "unknown_optional", "base_a_string", "generator_a_string",
-        "nested_missing", "not_a_dict", "unknown_family"])
+        "nested_missing", "not_a_dict", "unknown_family", "mixture_unimodal", "mixture_center",
+        "mixture_symmetric_a_string"])
 def test_malformed_spec_rejected(spec):
     with pytest.raises(ValueError):  # FamilyError or GeneratorError
         family_from_spec(spec)

@@ -214,7 +214,7 @@ def test_three_normals_never_fire():
 
 
 def test_concentrated_symmetric_density_fires():
-    fam = MixtureFamily([Uniform(-1.0, -0.9), Uniform(0.9, 1.0)], [0.5, 0.5])
+    fam = MixtureFamily([Uniform(-1.0, -0.9), Uniform(0.9, 1.0)], [0.5, 0.5], symmetric=True)
     assert fam.symmetric
     res = not_jm_unbounded_symmetric([fam] * 3, [0.5, 1.0, 2.0])
     assert res.verdict == NOT_JM
@@ -283,6 +283,9 @@ def test_ssmn_rejects_nonpositive_atoms():
         ssmn_noncm_certificate(2, 1.0, [(-1.0, 1.0)])
     with pytest.raises(ValueError):
         ssmn_noncm_certificate(2, 1.0, [])
+    for atom in [(math.nan, 1.0), (math.inf, 1.0), (1.0, -0.5), (1.0, math.nan), (1.0, 5.0)]:
+        with pytest.raises(ValueError, match="H "):
+            ssmn_noncm_certificate(3, 50.0, [atom])
 
 
 def test_certificates_reject_non_integer_n():
@@ -308,7 +311,8 @@ def _verdict_battery():
         not_jm_bounded_symmetric([BimodalPower(1, 1)] * 3, 1.0),
         not_jm_bounded_symmetric([Uniform(-1, 1)] * 3, 1.0),
         not_jm_unbounded_symmetric(
-            [MixtureFamily([Uniform(-1, -0.9), Uniform(0.9, 1)], [0.5, 0.5])] * 3, [1.0]
+            [MixtureFamily([Uniform(-1, -0.9), Uniform(0.9, 1)], [0.5, 0.5], symmetric=True)] * 3,
+            [1.0],
         ),
         skewnormal_noncm_certificate(2, 50.0),
         skewnormal_noncm_certificate(3, 0.5),

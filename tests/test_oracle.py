@@ -103,6 +103,8 @@ def test_grid_validation():
         QuantileGrid(np.array([[np.inf, 1.0]]))
     with pytest.raises(ValueError):
         discretize([Uniform(0, 1)], 1)
+    with pytest.raises(ValueError, match="at least one family"):
+        discretize([], 10)
 
 
 # --- rearrangement algorithm ------------------------------------------------
