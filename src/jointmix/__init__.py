@@ -19,8 +19,8 @@ _EXPORTS = {
     "jm_verdict_elliptical jm_verdict_unimodal_location_scale not_jm_bounded_symmetric "
     "not_jm_unbounded_symmetric skewnormal_noncm_certificate ssmn_noncm_certificate",
     "couplings": "EquicorrelationPlan MatrixSampleBatch PolygonInequalityError SampleBatch "
-    "elliptical_jm_covariance polygon_unit_vectors sample_cm_scale_mixture "
-    "sample_jm_elliptical sample_jm_slash sample_matrix_variate_cm transform_center",
+    "polygon_unit_vectors sample_cm_scale_mixture sample_jm_elliptical sample_jm_slash "
+    "sample_matrix_variate_cm",
     "oracle": "QuantileGrid RearrangementResult brute_force_min_spread discretize "
     "ra_minimize verify_constant_sum",
 }

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import Elliptical, UnivariateFamily
+from .families import Elliptical, UnivariateFamily, h_atoms
 from .generators import CharacteristicGenerator, mixing_law
-from .mixability import _joint_center, check_scale_inequality
+from .mixability import _joint_center, _unimodal_symmetric, check_scale_inequality
 
 __all__ = [
     "PolygonInequalityError",
@@ -27,12 +27,10 @@ __all__ = [
     "SampleBatch",
     "MatrixSampleBatch",
     "polygon_unit_vectors",
-    "elliptical_jm_covariance",
     "sample_jm_elliptical",
     "sample_jm_slash",
     "sample_cm_scale_mixture",
     "sample_matrix_variate_cm",
-    "transform_center",
     "psd_factor",
 ]
 
@@ -101,15 +99,6 @@ def _polygon(sig: np.ndarray) -> np.ndarray:
     return np.insert(sub, j, sub[i], axis=0)
 
 
-def elliptical_jm_covariance(sigmas) -> np.ndarray:
-    """Rank <= 2 PSD scatter matrix with diagonal sigma_i^2 and zero total
-    entry sum, from the polygon unit vectors."""
-    sig = np.asarray([float(s) for s in sigmas])
-    vs = polygon_unit_vectors(sig)
-    L = sig[:, None] * vs
-    return L @ L.T
-
-
 def psd_factor(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Factor L with L L^T = M via eigendecomposition.
 
@@ -171,9 +160,6 @@ class SampleBatch:
     def n(self) -> int:
         return self.data.shape[1]
 
-    def row_sums(self) -> np.ndarray:
-        return self.data.sum(axis=1)
-
     def write_csv(self, path, include_sum: bool = False) -> None:
         """Write the draws as CSV: header ``X1..Xn``, one ``%.17g`` cell per
         value, lines ended by ``\\r\\n``.  ``include_sum`` appends an ``S``
@@ -209,9 +195,6 @@ class MatrixSampleBatch:
     seed: int
     kind: str
     metadata: dict = field(default_factory=dict)
-
-    def column_sum_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.data.sum(axis=2), axis=1)
 
     def write_csv(self, path, include_sum: bool = False) -> None:
         """Write one draw per line: its index in a ``draw`` column, then the
@@ -300,14 +283,13 @@ def sample_cm_scale_mixture(base: UnivariateFamily, atoms, n: int, count: int, s
     close one triple T (2U - 1, 2W - 1, 2 - 2U - 2W), W = frac(U + 1/2):
     each coordinate is uniform on (-1, 1) and the three sum to 0, so by
     Khintchine's X - c = T V (``_khintchine_scale``) each is a base draw.
+    A base that is not unimodal and symmetric raises HypothesisViolation;
+    H's atoms are checked by ``families.h_atoms``.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if not (base.symmetric and base.unimodal):
-        raise ValueError("base must be unimodal and symmetric")
-    atoms = [(float(v), float(p)) for v, p in atoms]
-    if not atoms or not all(0 < v < math.inf and 0 < p < math.inf for v, p in atoms):
-        raise ValueError("H atoms need positive, finite values and probabilities")
+    _unimodal_symmetric(base)
+    atoms = h_atoms(atoms)
     vals, probs = np.array(atoms).T
     rng = np.random.default_rng(seed)
     theta = rng.choice(vals, p=probs / probs.sum(), size=count)
@@ -388,9 +370,3 @@ def sample_matrix_variate_cm(
         kind="matrix",
         metadata={"p": p, "n": n, "generator": g.spec()},
     )
-
-
-def transform_center(f, C: float) -> float:
-    """K = f(C): the constant value of f(sum) once the sum itself is
-    constant at C."""
-    return f(C)

@@ -34,6 +34,7 @@ __all__ = [
     "SlashElliptical",
     "FamilyError",
     "family_from_spec",
+    "h_atoms",
 ]
 
 _EPS = np.finfo(float).eps
@@ -484,6 +485,9 @@ class MixtureFamily(UnivariateFamily, spec="mixture"):
             raise FamilyError("weights must be positive and finite")
         self.components = list(components)
         self.weights = w.tolist()  # as given, so that a rebuilt spec is bit-identical
+        # scaled by the power of two at their maximum the sum cannot overflow,
+        # and while no weight leaves the normal range the scaling is exact
+        w = np.ldexp(w, -math.frexp(w.max())[1])
         self.probs = w / w.sum()
         los = [c.support[0] for c in components]
         his = [c.support[1] for c in components]
@@ -706,6 +710,21 @@ class SkewNormal(UnivariateFamily, spec="skew_normal"):
         return self.mu + self.sigma * z
 
 
+def h_atoms(atoms) -> list[tuple[float, float]]:
+    """The atoms of a finite mixing law H as (value, probability) floats.
+
+    FamilyError unless there is at least one atom, every value and every
+    probability is positive and finite, and the probabilities sum to 1
+    within 1e-9.
+    """
+    atoms = [(float(v), float(p)) for v, p in atoms]
+    if not atoms or not all(0 < v < math.inf and 0 < p < math.inf for v, p in atoms):
+        raise FamilyError("H atoms need positive, finite values and probabilities")
+    if not abs(sum(p for _, p in atoms) - 1.0) <= 1e-9:  # NaN and inf fail
+        raise FamilyError("H probabilities must sum to 1 within 1e-9")
+    return atoms
+
+
 class SSMN(MixtureFamily, spec="ssmn"):
     """Skew scale mixture of normal with a finite discrete mixing law H.
 
@@ -714,12 +733,7 @@ class SSMN(MixtureFamily, spec="ssmn"):
     """
 
     def __init__(self, mu: float, sigma: float, lam: float, atoms):
-        # atoms: iterable of (value v > 0, probability)
-        atoms = [(float(v), float(p)) for v, p in atoms]
-        if not atoms or not all(v > 0 and p > 0 for v, p in atoms):
-            raise FamilyError("H atoms need positive values and probabilities")
-        if not abs(sum(p for _, p in atoms) - 1.0) <= 1e-9:
-            raise FamilyError("H probabilities must sum to 1")
+        atoms = h_atoms(atoms)
         self.mu = _finite(mu)
         self.sigma = _finite(sigma)
         self.lam = _finite(lam)

@@ -182,13 +182,6 @@ class MixingLaw:
     b: float | None = None
     atoms: tuple[tuple[float, float], ...] = field(default=())
 
-    def sample(self, count: int, seed: int) -> np.ndarray:
-        import numpy as np
-
-        if count <= 0:
-            raise GeneratorError("count must be positive")
-        return self.sample_with(np.random.default_rng(seed), count)
-
     def sample_with(self, rng: np.random.Generator, count: int) -> np.ndarray:
         import numpy as np
 
@@ -269,4 +262,8 @@ def _inverse_gamma_laplace(a: float, b: float, u: float) -> float:
 
 def sample_mixing(g: CharacteristicGenerator, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` values of W; deterministic for a fixed seed."""
-    return mixing_law(g).sample(count, seed)
+    import numpy as np
+
+    if count <= 0:
+        raise GeneratorError("count must be positive")
+    return mixing_law(g).sample_with(np.random.default_rng(seed), count)

@@ -2,7 +2,9 @@
 
 Verdicts are three-valued (JM / NotJM / Unknown).  Sufficient conditions never
 emit NotJM and necessary conditions never emit JM; only the unimodal
-location-scale criterion is an iff and may emit both.  Every certificate
+location-scale criterion is an iff and may emit both.  Inputs outside a
+criterion's hypotheses, such as a base that is not unimodal and symmetric,
+raise HypothesisViolation rather than yield Unknown.  Every certificate
 stores enough numeric inputs that ``replay_certificate`` reproduces the
 verdict bit for bit.  ``_RULES`` declares each type's fields and its rule,
 as a signed margin, once; the builders take their verdict from that rule.
@@ -132,15 +134,19 @@ def _certify(kind: str, fields: dict, joint_center: float | None = None) -> Mixa
     return MixabilityVerdict(verdict, joint_center if verdict == JM else None, fields)
 
 
+def _unimodal_symmetric(base: UnivariateFamily) -> None:
+    """HypothesisViolation unless ``base`` is unimodal and symmetric."""
+    if not (base.symmetric and base.unimodal):
+        raise HypothesisViolation("base must be unimodal and symmetric")
+
+
 def jm_verdict_unimodal_location_scale(base: UnivariateFamily, thetas, mus) -> MixabilityVerdict:
     """Same unimodal-symmetric base, scales theta_i: JM iff the scale
-    inequality holds.  A non-qualifying base yields Unknown, not a guess."""
+    inequality holds.  A base that is not unimodal and symmetric is refused
+    with HypothesisViolation, not answered with Unknown."""
     thetas = [float(t) for t in thetas]
     center = _joint_center(mus, len(thetas))
-    if not (base.symmetric and base.unimodal):
-        return _certify("hypothesis_violation", {"reason": "base must be unimodal and symmetric",
-                                                 "symmetric": bool(base.symmetric),
-                                                 "unimodal": bool(base.unimodal)})
+    _unimodal_symmetric(base)
     return _certify("scale_inequality", {**_scale_fields(thetas), "iff": True}, center)
 
 
@@ -260,13 +266,13 @@ def skewnormal_threshold(n: int) -> float:
 
 def ssmn_noncm_certificate(n: int, lam: float, atoms) -> MixabilityVerdict:
     """SSMN with finite discrete H: certify NotJM only when the skew-normal
-    bound fires at lambda * v for every atom v of H."""
-    atoms = [(float(v), float(p)) for v, p in atoms]
-    if not atoms or not all(0 < v < math.inf and 0 < p <= 1 for v, p in atoms):
-        raise ValueError("H atoms need positive, finite values and probabilities in (0, 1]")
+    bound fires at lambda * v for every atom v of H; H's atoms are checked
+    by ``families.h_atoms``."""
+    from .families import h_atoms
+
     sub = [
         {"atom": v, "prob": p, "certificate": skewnormal_noncm_certificate(n, lam * v).certificate}
-        for v, p in atoms
+        for v, p in h_atoms(atoms)
     ]
     return _certify("ssmn", {"n": int(n), "lam": float(lam), "atoms": sub})
 
@@ -310,7 +316,6 @@ _RULES = {
                          lambda c: 1.0 - (c["cdf_term"] + (c["n"] - 1) * c["neg_prob"]),
                          strict=True),
     "ssmn": _Rule(("n", "lam", "atoms"), _ssmn_margin, strict=True),
-    "hypothesis_violation": _Rule(("reason", "symmetric", "unimodal"), lambda c: math.nan),
 }
 
 

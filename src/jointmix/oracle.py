@@ -294,16 +294,19 @@ class ConstantSumReport:
 def verify_constant_sum(batch, C: float, rel_tol: float) -> ConstantSumReport:
     """Check that row sums of a batch sit at the claimed center.
 
-    Accepts a SampleBatch-like object (with ``.data``) or a plain 2-D array.
-    Row i may deviate from C by rel_tol * (1 + |C| + sum_j |x_ij|).  The
-    report names the worst row, the one with the largest ratio of deviation
-    to bound (a NaN row first of all), and passes when that ratio is <= 1.
+    Accepts a SampleBatch-like object (with ``.data``) or a plain 2-D array,
+    a finite C and a finite rel_tol >= 0 (ValueError otherwise).  Row i may
+    deviate from C by rel_tol * (1 + |C| + sum_j |x_ij|).  The report names
+    the worst row, the one with the largest ratio of deviation to bound (a
+    NaN row first of all), and passes when that ratio is <= 1.
     """
     data = np.asarray(getattr(batch, "data", batch), dtype=float)
     if data.ndim != 2 or 0 in data.shape:
         raise ValueError("batch must be a nonempty N x n matrix")
-    if not rel_tol >= 0.0:
-        raise ValueError(f"rel_tol must be >= 0, not {rel_tol!r}")
+    if not math.isfinite(C):
+        raise ValueError(f"the center C must be finite, not {C!r}")
+    if not 0.0 <= rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be >= 0 and finite, not {rel_tol!r}")
     dev = np.abs(data.sum(axis=1) - C)
     bound = rel_tol * (1.0 + abs(C) + np.abs(data).sum(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -125,9 +125,12 @@ def test_verify_fails_one_altered_row_of_a_heavy_tailed_batch(tmp_path, capsys):
 def test_verify_rejects_a_negative_or_nan_tolerance(tmp_path, capsys):
     out = tmp_path / "draws.csv"
     run(capsys, "sample", "--sigmas", "1,1", "-N", "10", "-o", str(out))
-    for tol in ("-1e-8", "nan"):
+    for tol in ("-1e-8", "nan", "inf"):
         code, rep_out, err = run(capsys, "verify", "-i", str(out), "-C", "0", f"--rel-tol={tol}")
         assert code == EXIT_USAGE and rep_out == "" and "rel_tol" in err
+    for center in ("--center=nan", "--center=-inf"):
+        code, rep_out, err = run(capsys, "verify", "-i", str(out), center)
+        assert code == EXIT_USAGE and rep_out == "" and "center C" in err
 
 
 def test_sample_scale_inequality_violated(tmp_path, capsys):
@@ -522,6 +525,10 @@ _BAD_VALUE_CONFIGS = {
                                            "H": [[math.inf, 1.0]]}),
     "sample_H_probability_nan": ("sample", {"coupling": "scale_mixture", "n": 3,
                                             "H": [[1.0, math.nan]]}),
+    "sample_H_sums_to_1_4": ("sample", {"coupling": "scale_mixture", "n": 3,
+                                        "H": [[1.0, 0.7], [2.0, 0.7]]}),
+    "sample_H_sum_overflows": ("sample", {"coupling": "scale_mixture", "n": 3,
+                                          "H": [[1.0, 1e308], [2.0, 1e308]]}),
     "sample_coupling_unknown": ("sample", {"coupling": "foo"}),
     "check_config_a_list": ("check", [1, 2]),
     "oracle_no_families": ("oracle", {"families": []}),

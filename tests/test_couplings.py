@@ -10,14 +10,12 @@ from scipy import stats
 from jointmix.couplings import (
     EquicorrelationPlan,
     PolygonInequalityError,
-    elliptical_jm_covariance,
     polygon_unit_vectors,
     psd_factor,
     sample_cm_scale_mixture,
     sample_jm_elliptical,
     sample_jm_slash,
     sample_matrix_variate_cm,
-    transform_center,
 )
 from jointmix.families import (
     Elliptical,
@@ -101,36 +99,13 @@ def test_boundary_jm_verdict_is_exact_and_samples(others, at):
     assert res.replay() == res.verdict
     if res.verdict == JM:
         batch = sample_jm_elliptical([0.0] * len(sig), sig, NORMAL, 64, 3)
-        assert np.abs(batch.row_sums()).max() <= 1e-12 * sum(sig)
+        assert np.abs(batch.data.sum(axis=1)).max() <= 1e-12 * sum(sig)
 
 
 def test_polygon_deterministic():
     a = polygon_unit_vectors([2, 1, 1, 1, 0.5])
     b = polygon_unit_vectors([2, 1, 1, 1, 0.5])
     assert np.array_equal(a, b)
-
-
-# --- scatter matrix ---------------------------------------------------------
-
-def test_covariance_pair():
-    assert np.allclose(elliptical_jm_covariance([1.0, 1.0]), [[1, -1], [-1, 1]])
-
-
-def test_covariance_equilateral():
-    cov = elliptical_jm_covariance([1.0, 1.0, 1.0])
-    assert np.allclose(np.diag(cov), 1.0)
-    assert np.allclose(cov[~np.eye(3, dtype=bool)], -0.5, atol=1e-12)
-
-
-def test_covariance_properties():
-    sig = [2.0, 1.5, 1.0]
-    cov = elliptical_jm_covariance(sig)
-    assert np.allclose(np.diag(cov), np.square(sig), atol=1e-12)
-    vals = np.linalg.eigvalsh(cov)
-    assert vals.min() >= -1e-10 * np.trace(cov)
-    # zero total mass and planar rank
-    assert abs(cov.sum()) <= 1e-9 * np.trace(cov)
-    assert np.sum(vals > 1e-10 * np.trace(cov)) <= 2
 
 
 # --- equicorrelation plan ---------------------------------------------------
@@ -155,17 +130,17 @@ def test_psd_factor_rejects_indefinite():
 
 def test_elliptical_sums_normal():
     batch = sample_jm_elliptical([0, 0, 0], [1, 1, 1], NORMAL, 10**4, seed=1)
-    assert np.max(np.abs(batch.row_sums())) <= 1e-10
+    assert np.max(np.abs(batch.data.sum(axis=1))) <= 1e-10
 
 
 def test_elliptical_sums_student_t():
     batch = sample_jm_elliptical([1, 2, 3], [2, 1.5, 1], T3, 10**4, seed=2)
-    assert np.max(np.abs(batch.row_sums() - 6.0)) <= 1e-8
+    assert np.max(np.abs(batch.data.sum(axis=1) - 6.0)) <= 1e-8
 
 
 def test_elliptical_sums_cauchy_no_moments():
     batch = sample_jm_elliptical([0, 0], [1, 1], CAUCHY, 10**4, seed=3)
-    assert np.max(np.abs(batch.row_sums())) <= 1e-8
+    assert np.max(np.abs(batch.data.sum(axis=1))) <= 1e-8
 
 
 def test_elliptical_marginals_ks():
@@ -179,7 +154,7 @@ def test_elliptical_marginals_ks():
 
 def test_empirical_cf_of_sum():
     batch = sample_jm_elliptical([1, 2, 3], [2, 1.5, 1], NORMAL, 10**4, seed=5)
-    s = batch.row_sums()
+    s = batch.data.sum(axis=1)
     for t in (-2.0, -1.0, 1.0, 2.0):
         dev = abs(np.mean(np.exp(1j * t * s)) - np.exp(1j * t * 6.0))
         assert dev <= 3.0 / math.sqrt(s.size)
@@ -195,7 +170,7 @@ def test_sampler_deterministic():
 
 def test_slash_pair_sums():
     batch = sample_jm_slash([0, 0], [1, 1], NORMAL, 2.0, 100, seed=6)
-    assert np.max(np.abs(batch.row_sums())) <= 1e-12
+    assert np.max(np.abs(batch.data.sum(axis=1))) <= 1e-12
 
 
 def test_slash_marginals_ks():
@@ -221,14 +196,14 @@ def test_slash_invalid_q():
 def test_scale_mixture_normal_point_mass():
     base = Elliptical(0.0, 1.0, NORMAL)
     batch = sample_cm_scale_mixture(base, [(1.0, 1.0)], 3, 10**4, seed=10)
-    assert np.max(np.abs(batch.row_sums())) <= 1e-12
+    assert np.max(np.abs(batch.data.sum(axis=1))) <= 1e-12
     assert batch.metadata["exact"]
 
 
 def test_scale_mixture_two_atoms():
     base = Elliptical(0.0, 1.0, NORMAL)
     batch = sample_cm_scale_mixture(base, [(1.0, 0.5), (2.0, 0.5)], 2, 10**4, seed=11)
-    assert np.max(np.abs(batch.row_sums())) <= 1e-12
+    assert np.max(np.abs(batch.data.sum(axis=1))) <= 1e-12
 
 
 def test_scale_mixture_marginal_is_scale_mixture():
@@ -297,7 +272,7 @@ def test_scale_mixture_ends_where_the_density_is_zero():
     base = _ZeroDensityDraws(-1.0, 1.0)
     batch = sample_cm_scale_mixture(base, [(1.0, 1.0)], 3, 10, seed=0)
     assert np.all(np.isfinite(batch.data))
-    assert np.max(np.abs(batch.row_sums())) <= 1e-12 * np.max(np.abs(batch.data))
+    assert np.max(np.abs(batch.data.sum(axis=1))) <= 1e-12 * np.max(np.abs(batch.data))
 
 
 def test_scale_mixture_rejects_bad_base():
@@ -321,7 +296,7 @@ def test_matrix_p1_antithetic():
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_matrix_column_sums_vanish(n):
     mb = sample_matrix_variate_cm(2, np.eye(2), NORMAL, n, 10**4, seed=15)
-    assert mb.column_sum_norms().max() <= 1e-10
+    assert np.linalg.norm(mb.data.sum(axis=2), axis=1).max() <= 1e-10
 
 
 def test_matrix_marginal_covariance_student_t():
@@ -340,21 +315,17 @@ def test_matrix_rejects_bad_sigma():
 
 # --- transform invariance ---------------------------------------------------
 
-def test_transform_center_identity():
-    assert transform_center(lambda x: x, 6.0) == 6.0
-
-
 def test_transform_square_of_centered_sums():
     batch = sample_jm_elliptical([0, 0, 0], [1, 1, 1], NORMAL, 10**4, seed=17)
-    transformed = batch.row_sums() ** 2
-    k = transform_center(lambda x: x * x, 0.0)
+    transformed = batch.data.sum(axis=1) ** 2
+    k = 0.0 * 0.0  # f(C) for f(x) = x * x and C = 0
     assert np.max(np.abs(transformed - k)) <= 1e-18
 
 
 def test_transform_exp_relative():
     batch = sample_jm_elliptical([1, 2, 3], [2, 1.5, 1], T3, 10**4, seed=18)
-    k = transform_center(math.exp, 6.0)
-    transformed = np.exp(batch.row_sums())
+    k = math.exp(6.0)
+    transformed = np.exp(batch.data.sum(axis=1))
     assert np.max(np.abs(transformed - k)) / k <= 1e-6
 
 

@@ -1,8 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from jointmix.families import (
@@ -330,6 +333,22 @@ def test_mixture_rejects_bad_weight_at_construction(bad):
         MixtureFamily([Uniform(-1.0, 0.0), Uniform(0.0, 1.0)], [0.5, bad])
     with pytest.raises(FamilyError, match="H atoms need|H probabilities"):
         SSMN(0.0, 1.0, 2.0, [(1.0, 0.5), (2.0, bad)])
+
+
+def test_mixture_weights_whose_sum_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fam = MixtureFamily([Uniform(0.0, 1.0), Uniform(1.0, 2.0)], [1e308, 1e308])
+    assert fam.cdf(3.0) == 1.0 and fam.center == 1.0
+    assert fam.weights == [1e308, 1e308]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(2.0**-500, 2.0**500), min_size=1, max_size=6))
+def test_mixture_probabilities_are_the_weights_over_their_sum(weights):
+    fam = MixtureFamily([Uniform(0.0, 1.0)] * len(weights), weights)
+    w = np.asarray(weights)
+    assert np.array_equal(fam.probs, w / w.sum())
 
 
 def test_ssmn_weights_are_renormalised():

@@ -11,6 +11,7 @@ from jointmix.families import (
     BimodalPower,
     Elliptical,
     MixtureFamily,
+    SSMN,
     Uniform,
 )
 from jointmix.generators import CharacteristicGenerator
@@ -137,10 +138,12 @@ def test_normal_mixed_scales_jm_and_coupling_confirms():
     assert report.passed
 
 
-def test_nonunimodal_base_yields_unknown():
-    res = jm_verdict_unimodal_location_scale(BimodalPower(1, 1), [1, 1, 1], [0, 0, 0])
-    assert res.verdict == UNKNOWN
-    assert res.certificate["type"] == "hypothesis_violation"
+def test_nonunimodal_base_is_refused():
+    # one refusal for the iff criterion and for the scale-mixture coupling
+    with pytest.raises(HypothesisViolation, match="unimodal and symmetric"):
+        jm_verdict_unimodal_location_scale(BimodalPower(1, 1), [1, 1, 1], [0, 0, 0])
+    with pytest.raises(HypothesisViolation, match="unimodal and symmetric"):
+        couplings.sample_cm_scale_mixture(BimodalPower(1, 1), [(1.0, 1.0)], 3, 10, seed=0)
 
 
 # --- elliptical criterion ---------------------------------------------------
@@ -288,6 +291,18 @@ def test_ssmn_rejects_nonpositive_atoms():
             ssmn_noncm_certificate(3, 50.0, [atom])
 
 
+def test_h_rule_is_one_rule():
+    # probabilities that sum to 1.4 are no law, for the certificate, the
+    # scale-mixture coupling and the SSMN family alike
+    not_a_law = [(1.0, 0.7), (2.0, 0.7)]
+    with pytest.raises(ValueError, match="H probabilities must sum to 1"):
+        ssmn_noncm_certificate(3, 50.0, not_a_law)
+    with pytest.raises(ValueError, match="H probabilities must sum to 1"):
+        couplings.sample_cm_scale_mixture(Elliptical(0.0, 1.0, NORMAL), not_a_law, 3, 10, seed=0)
+    with pytest.raises(ValueError, match="H probabilities must sum to 1"):
+        SSMN(0.0, 1.0, 50.0, not_a_law)
+
+
 def test_certificates_reject_non_integer_n():
     # F is evaluated at n E, so a certificate at n = 2.5 is no certificate at
     # any whole n
@@ -317,7 +332,6 @@ def _verdict_battery():
         skewnormal_noncm_certificate(2, 50.0),
         skewnormal_noncm_certificate(3, 0.5),
         ssmn_noncm_certificate(2, 100.0, [(0.5, 0.5), (2.0, 0.5)]),
-        jm_verdict_unimodal_location_scale(BimodalPower(1, 1), [1, 1, 1], [0, 0, 0]),
     ]
 
 
@@ -339,7 +353,7 @@ def test_replay_rejects_malformed_certificates():
                 replay_certificate(cert)
     with pytest.raises(ValueError, match="'cdf_term'"):
         replay_certificate({"type": "skew_normal", "n": 3})
-    atoms = ssmn_noncm_certificate(2, 100.0, [(0.5, 0.5)]).certificate["atoms"]
+    atoms = ssmn_noncm_certificate(2, 100.0, [(0.5, 1.0)]).certificate["atoms"]
     del atoms[0]["certificate"]["neg_prob"]
     with pytest.raises(ValueError, match="'neg_prob'"):
         replay_certificate({"type": "ssmn", "n": 2, "lam": 100.0, "atoms": atoms})

@@ -554,9 +554,12 @@ def test_verify_worst_row_and_zero_tolerance():
     assert exact.passed and exact.worst_ratio == 0.0
     nan = verify_constant_sum(np.array([[1.0, -1.0], [np.nan, 0.0]]), 0.0, 1.0)
     assert not nan.passed and nan.worst_row == 1
-    for bad in (-1e-8, math.nan):
+    for bad in (-1e-8, math.nan, math.inf):
         with pytest.raises(ValueError, match="rel_tol"):
             verify_constant_sum(data, 0.0, bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="center C must be finite"):
+            verify_constant_sum(data, bad, 1e-8)
 
 
 def test_verify_rejects_empty():
