@@ -10,6 +10,7 @@ sidecar.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -207,8 +208,7 @@ def cmd_sample(args):
         else:
             raise CliError(f"unknown coupling {kind!r}")
     except couplings.PolygonInequalityError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+        raise CliError(str(exc), 1) from exc
     batch.metadata["config"] = settings
     batch.write_csv(args.output, include_sum=args.with_sum)
     batch.write_sidecar(args.output + ".json")
@@ -224,6 +224,7 @@ def cmd_verify(args):
 
     from . import oracle
 
+    oracle._check_center_tol(args.center, args.rel_tol)  # a usage error before any I/O
     try:
         with open(args.input, newline="") as fh:
             header = next(csv.reader(fh), [])
@@ -236,11 +237,9 @@ def cmd_verify(args):
                 rows = np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2,
                                   comments=None, quotechar='"')
     except (OSError, ValueError, csv.Error) as exc:
-        print(f"cannot read CSV: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise CliError(f"cannot read CSV: {exc}", EXIT_IO) from exc
     if not rows.shape[0]:
-        print("empty CSV", file=sys.stderr)
-        return EXIT_IO
+        raise CliError("empty CSV", EXIT_IO)
     report = oracle.verify_constant_sum(rows, args.center, args.rel_tol)
     print(report.to_json())
     return 0 if report.passed else 1
@@ -319,15 +318,11 @@ def cmd_explore(args):
                         int(res.verdict == mixability.NOT_JM),
                     ]
                 )
-    target = open(out, "w", newline="") if out else sys.stdout
-    try:
+    with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as target:
         writer = csv.writer(target)
         writer.writerow(header)
         for row in rows:
             writer.writerow([("%.17g" % v) if isinstance(v, float) else str(v) for v in row])
-    finally:
-        if out:
-            target.close()
     return 0
 
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import Elliptical, UnivariateFamily, h_atoms
-from .generators import CharacteristicGenerator, mixing_law
-from .mixability import _joint_center, _unimodal_symmetric, check_scale_inequality
+from .families import Elliptical, UnivariateFamily
+from .generators import CharacteristicGenerator, discrete_law, mixing_law
+from .mixability import _joint_center, _unimodal_symmetric, _whole_n, check_scale_inequality
 
 __all__ = [
     "PolygonInequalityError",
@@ -76,9 +76,7 @@ def polygon_unit_vectors(sigmas) -> np.ndarray:
     sig = np.asarray([float(s) for s in sigmas])
     if sig.size < 2:
         raise PolygonInequalityError("need at least two sides")
-    if np.any(sig <= 0):
-        raise ValueError("sides must be positive")
-    if not check_scale_inequality(sig):
+    if not check_scale_inequality(sig):  # ValueError unless positive and finite
         raise PolygonInequalityError(
             f"polygon inequality fails: sum={sig.sum()} < 2*max={2 * sig.max()}"
         )
@@ -126,8 +124,7 @@ class EquicorrelationPlan:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
+        object.__setattr__(self, "n", _whole_n(self.n))
 
     @property
     def rho(self) -> float:
@@ -284,15 +281,15 @@ def sample_cm_scale_mixture(base: UnivariateFamily, atoms, n: int, count: int, s
     each coordinate is uniform on (-1, 1) and the three sum to 0, so by
     Khintchine's X - c = T V (``_khintchine_scale``) each is a base draw.
     A base that is not unimodal and symmetric raises HypothesisViolation;
-    H's atoms are checked by ``families.h_atoms``.
+    H's (value, probability) atoms are a finite law as ``discrete_law``
+    decides.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    n = _whole_n(n)
     _unimodal_symmetric(base)
-    atoms = h_atoms(atoms)
-    vals, probs = np.array(atoms).T
+    atoms = [(float(v), float(p)) for v, p in atoms]
+    law = discrete_law((p, v) for v, p in atoms)
     rng = np.random.default_rng(seed)
-    theta = rng.choice(vals, p=probs / probs.sum(), size=count)
+    theta = law.sample_with(rng, count)
     center = base.center
     meta = {"base": base.spec(), "n": n, "H": [[v, p] for v, p in atoms], "exact": True}
     if isinstance(base, Elliptical):
@@ -362,11 +359,11 @@ def sample_matrix_variate_cm(
     B = plan.factor()  # (n, n)
     rng = np.random.default_rng(seed)
     w = mixing_law(g).sample_with(rng, count)
-    gmat = rng.standard_normal((count, p, n))
+    gmat = rng.standard_normal((count, p, plan.n))
     data = np.sqrt(w)[:, None, None] * np.einsum("ij,kjl,ml->kim", A, gmat, B)
     return MatrixSampleBatch(
         data=data,
         seed=seed,
         kind="matrix",
-        metadata={"p": p, "n": n, "generator": g.spec()},
+        metadata={"p": p, "n": plan.n, "generator": g.spec()},
     )

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .generators import CharacteristicGenerator, mixing_law, special
+from .generators import CharacteristicGenerator, _over_sum, discrete_law, mixing_law, special
 
 __all__ = [
     "UnivariateFamily",
@@ -34,7 +34,6 @@ __all__ = [
     "SlashElliptical",
     "FamilyError",
     "family_from_spec",
-    "h_atoms",
 ]
 
 _EPS = np.finfo(float).eps
@@ -73,11 +72,14 @@ def _scalar_like(x, out):
     return out
 
 
-def _finite(x) -> float:
-    """``x`` as a float; FamilyError unless finite (NaN fails the test)."""
+def _finite(x, positive: str = "") -> float:
+    """``x`` as a float; FamilyError unless finite (NaN fails the test) and,
+    where ``positive`` names the parameter, > 0."""
     x = float(x)
     if not -math.inf < x < math.inf:
         raise FamilyError("family parameters must be finite")
+    if positive and not x > 0:
+        raise FamilyError(f"{positive} must be positive")
     return x
 
 
@@ -295,10 +297,8 @@ class Elliptical(_SymmetricLocationScale, spec="elliptical"):
     """
 
     def __init__(self, mu: float, sigma: float, generator: CharacteristicGenerator):
-        if sigma <= 0:
-            raise FamilyError("sigma must be positive")
         self.mu = _finite(mu)
-        self.sigma = _finite(sigma)
+        self.sigma = _finite(sigma, "sigma")
         self.generator = generator
         self.center = self.mu
         self.law = mixing_law(generator)
@@ -359,13 +359,11 @@ class LocationScaleSymmetric(UnivariateFamily, spec="location_scale"):
     """``mu + theta * (Y - c)`` for a symmetric base ``Y`` with center ``c``."""
 
     def __init__(self, base: UnivariateFamily, mu: float, theta: float):
-        if theta <= 0:
-            raise FamilyError("theta must be positive")
         if not base.symmetric:
             raise FamilyError("base must be symmetric")
         self.base = base
         self.mu = _finite(mu)
-        self.theta = _finite(theta)
+        self.theta = _finite(theta, "theta")
         self.symmetric = True
         self.unimodal = base.unimodal
         self.center = self.mu
@@ -403,11 +401,9 @@ class BimodalPower(UnivariateFamily, spec="bimodal_power"):
     unimodal = False
 
     def __init__(self, a: float, r: int):
-        if _finite(a) <= 0:
-            raise FamilyError("a must be positive")
+        self.a = _finite(a, "a")
         if int(_finite(r)) != r or r < 1:
             raise FamilyError("r must be a positive integer")
-        self.a = float(a)
         self.r = int(r)
         self.center = 0.0
         self.support = (-self.a, self.a)
@@ -480,15 +476,11 @@ class MixtureFamily(UnivariateFamily, spec="mixture"):
             raise FamilyError("components/weights mismatch")
         if not isinstance(symmetric, bool):
             raise FamilyError(f"symmetric must be true or false, not {symmetric!r}")
-        w = np.asarray(weights, dtype=float)
-        if not np.all((w > 0) & (w < np.inf)):
+        self.weights = [float(w) for w in weights]  # as given, so a rebuilt spec is bit-identical
+        if not all(0 < w < math.inf for w in self.weights):
             raise FamilyError("weights must be positive and finite")
         self.components = list(components)
-        self.weights = w.tolist()  # as given, so that a rebuilt spec is bit-identical
-        # scaled by the power of two at their maximum the sum cannot overflow,
-        # and while no weight leaves the normal range the scaling is exact
-        w = np.ldexp(w, -math.frexp(w.max())[1])
-        self.probs = w / w.sum()
+        self.probs = np.array(_over_sum(self.weights))
         los = [c.support[0] for c in components]
         his = [c.support[1] for c in components]
         self.support = (min(los), max(his))
@@ -538,10 +530,8 @@ class GeneralizedLogistic(_SymmetricLocationScale, spec="generalized_logistic"):
     mu, sigma = 0.0, 1.0
 
     def __init__(self, alpha: float, beta: float):
-        if alpha <= 0 or beta <= 0:
-            raise FamilyError("alpha, beta must be positive")
-        self.alpha = _finite(alpha)
-        self.beta = _finite(beta)
+        self.alpha = _finite(alpha, "alpha")
+        self.beta = _finite(beta, "beta")
         self.center = 0.0
 
     def _log_g(self, t):
@@ -631,13 +621,11 @@ class KotzType(UnivariateFamily, spec="kotz"):
     def __init__(self, N: float, m: float, beta: float, mu: float = 0.0, sigma: float = 1.0):
         if N <= 1:
             raise FamilyError("N must exceed 1")
-        if m <= 0 or beta <= 0 or sigma <= 0:
-            raise FamilyError("m, beta, sigma must be positive")
         self.N = _finite(N)
-        self.m = _finite(m)
-        self.beta = _finite(beta)
+        self.m = _finite(m, "m")
+        self.beta = _finite(beta, "beta")
         self.mu = _finite(mu)
-        self.sigma = _finite(sigma)
+        self.sigma = _finite(sigma, "sigma")
         self.center = self.mu
         self._s = (2.0 * self.N - 1.0) / (2.0 * self.beta)  # gamma shape
         self._c = self.beta * self.m ** self._s / math.gamma(self._s)
@@ -683,10 +671,8 @@ class SkewNormal(UnivariateFamily, spec="skew_normal"):
     unimodal = True
 
     def __init__(self, mu: float, sigma: float, lam: float):
-        if not sigma > 0:
-            raise FamilyError("sigma must be positive")
         self.mu = _finite(mu)
-        self.sigma = _finite(sigma)
+        self.sigma = _finite(sigma, "sigma")
         self.lam = _finite(lam)
         self.symmetric = self.lam == 0.0
         self.center = self.mu
@@ -710,36 +696,22 @@ class SkewNormal(UnivariateFamily, spec="skew_normal"):
         return self.mu + self.sigma * z
 
 
-def h_atoms(atoms) -> list[tuple[float, float]]:
-    """The atoms of a finite mixing law H as (value, probability) floats.
-
-    FamilyError unless there is at least one atom, every value and every
-    probability is positive and finite, and the probabilities sum to 1
-    within 1e-9.
-    """
-    atoms = [(float(v), float(p)) for v, p in atoms]
-    if not atoms or not all(0 < v < math.inf and 0 < p < math.inf for v, p in atoms):
-        raise FamilyError("H atoms need positive, finite values and probabilities")
-    if not abs(sum(p for _, p in atoms) - 1.0) <= 1e-9:  # NaN and inf fail
-        raise FamilyError("H probabilities must sum to 1 within 1e-9")
-    return atoms
-
-
 class SSMN(MixtureFamily, spec="ssmn"):
     """Skew scale mixture of normal with a finite discrete mixing law H.
 
     Conditionally on V = v the law is SN(mu, sigma^2 v^2, lambda v): the
-    mixture has one such skew-normal component per atom of H.
+    mixture has one such skew-normal component per (value, probability)
+    atom of H, a finite law as ``discrete_law`` decides.
     """
 
     def __init__(self, mu: float, sigma: float, lam: float, atoms):
-        atoms = h_atoms(atoms)
+        self.atoms = [(float(v), float(p)) for v, p in atoms]
+        discrete_law((p, v) for v, p in self.atoms)
         self.mu = _finite(mu)
         self.sigma = _finite(sigma)
         self.lam = _finite(lam)
-        self.atoms = atoms
-        components = [SkewNormal(self.mu, self.sigma * v, self.lam * v) for v, _ in atoms]
-        super().__init__(components, [p for _, p in atoms])
+        components = [SkewNormal(self.mu, self.sigma * v, self.lam * v) for v, _ in self.atoms]
+        super().__init__(components, [p for _, p in self.atoms])
 
 
 # ---------------------------------------------------------------------------
@@ -838,11 +810,9 @@ class SlashElliptical(_SymmetricLocationScale, spec="slash_elliptical"):
     """
 
     def __init__(self, mu: float, sigma: float, generator: CharacteristicGenerator, q: float):
-        if q <= 0:
-            raise FamilyError("q must be positive")
         self.mu = _finite(mu)
         self.sigma = _finite(sigma)
-        self.q = _finite(q)
+        self.q = _finite(q, "q")
         self.generator = generator
         self.center = self.mu
         self._base = Elliptical(0.0, sigma, generator)

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # annotations only: numpy loads in the functions that use it
@@ -33,6 +35,7 @@ __all__ = [
     "GeneratorError",
     "MixingLaw",
     "cg_eval",
+    "discrete_law",
     "mixing_law",
     "sample_mixing",
 ]
@@ -88,7 +91,7 @@ class CharacteristicGenerator:
 
     kind is one of ``normal``, ``student_t``, ``cauchy``, ``pearson_vii``,
     ``discrete_mixture``.  ``atoms`` is a tuple of ``(weight, scale)`` pairs
-    for the discrete-mixture kind; weights must sum to 1.
+    for the discrete-mixture kind, a finite law as ``discrete_law`` decides.
     """
 
     kind: str
@@ -109,15 +112,9 @@ class CharacteristicGenerator:
                 raise GeneratorError("pearson_vii needs a finite shape > 1/2")
             if not (self.scale is not None and 0 < self.scale < math.inf):
                 raise GeneratorError("pearson_vii needs a finite scale > 0")
-        if k == "discrete_mixture":
-            if not self.atoms:
-                raise GeneratorError("discrete_mixture needs at least one atom")
-            ws = [float(w) for w, _ in self.atoms]
-            scales = [float(s) for _, s in self.atoms]
-            if not all(0 < w <= 1 for w in ws) or not all(0 < s < math.inf for s in scales):
-                raise GeneratorError("atoms must have weights in (0,1] and scales > 0, finite")
-            if not abs(math.fsum(ws) - 1.0) <= 1e-12:
-                raise GeneratorError("atom weights must sum to 1 within 1e-12")
+        if k == "discrete_mixture":  # the law of W = scale^2, checked and built once
+            w_atoms = tuple((p, s * s) for p, s in discrete_law(self.atoms).atoms)
+            object.__setattr__(self, "_w_law", MixingLaw("discrete", atoms=w_atoms))
 
     # --- convenience constructors -------------------------------------
     @classmethod
@@ -191,10 +188,61 @@ class MixingLaw:
             # W = b / Gamma(a, 1)
             return self.b / rng.gamma(self.a, 1.0, size=count)
         if self.kind == "discrete":
-            probs = np.array([p for p, _ in self.atoms])
-            vals = np.array([v for _, v in self.atoms])
+            probs, vals = np.array(self.atoms).T
             return rng.choice(vals, p=probs, size=count)
         raise GeneratorError(f"unknown mixing law {self.kind!r}")
+
+
+def _pairwise_sum(terms):
+    """``terms[0] + terms[1] + ...`` rounded as numpy's pairwise ``sum``
+    rounds it, for floats or for arrays added elementwise.  Below 8 terms
+    the sum runs left to right; up to 128 it keeps 8 interleaved partial
+    sums, joins them as ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
+    and adds the terms past the last multiple of 8 left to right; longer
+    runs split in two halves, the first a multiple of 8 long.  numpy adds
+    the result to +0.0, so a sum of -0.0 terms is +0.0.
+    """
+    n = len(terms)
+    if n < 8:
+        return reduce(operator.add, terms, 0.0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return 0.0 + (_pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:]))
+    m = n - n % 8
+    s = [reduce(operator.add, terms[j:m:8]) for j in range(8)]
+    head = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+    return 0.0 + reduce(operator.add, terms[m:], head)
+
+
+def _over_sum(weights: list[float]) -> list[float]:
+    """``w / w.sum()`` for the array ``w`` of positive, finite ``weights``,
+    bit for bit, after scaling by the power of two at their maximum: the sum
+    cannot overflow, and while no weight leaves the normal range the scaling
+    is exact."""
+    k = -math.frexp(max(weights))[1]
+    ws = [math.ldexp(w, k) for w in weights]
+    total = _pairwise_sum(ws)
+    return [w / total for w in ws]
+
+
+def discrete_law(atoms) -> MixingLaw:
+    """The finite discrete law of ``(probability, value)`` atoms, its
+    probabilities normalised by ``_over_sum``: the one rule for the atoms of
+    a discrete-mixture generator and for a mixing law H.
+
+    GeneratorError unless there is at least one atom, every probability and
+    every value is positive and finite, and the probabilities sum to 1
+    within 1e-9.
+    """
+    atoms = [(float(p), float(v)) for p, v in atoms]
+    if not atoms:
+        raise GeneratorError("a finite law needs at least one atom")
+    if not all(0 < x < math.inf for atom in atoms for x in atom):  # NaN fails too
+        raise GeneratorError("atoms must have weights and values positive and finite")
+    ps = [p for p, _ in atoms]
+    if not abs(_pairwise_sum(ps) - 1.0) <= 1e-9:  # a sum that overflows is inf
+        raise GeneratorError("atom weights must sum to 1 within 1e-9")
+    return MixingLaw("discrete", atoms=tuple(zip(_over_sum(ps), (v for _, v in atoms))))
 
 
 def mixing_law(g: CharacteristicGenerator) -> MixingLaw:
@@ -213,7 +261,7 @@ def mixing_law(g: CharacteristicGenerator) -> MixingLaw:
     if g.kind == "pearson_vii":
         return MixingLaw("inverse_gamma", a=g.shape - 0.5, b=g.scale / 2.0)
     if g.kind == "discrete_mixture":
-        return MixingLaw("discrete", atoms=tuple((w, s * s) for w, s in g.atoms))
+        return g._w_law
     raise GeneratorError(f"unknown generator kind {g.kind!r}")
 
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .generators import CharacteristicGenerator
+from .generators import CharacteristicGenerator, discrete_law
 
 if TYPE_CHECKING:  # scale verdicts import neither numpy nor families
     from .families import UnivariateFamily
@@ -117,6 +117,13 @@ def _scale_fields(thetas) -> dict:
     return {"thetas": thetas, **sums}
 
 
+def _whole_n(n) -> int:
+    """``n`` as an int; ValueError unless it is a whole number >= 2, as 3.0 is."""
+    if not (float(n).is_integer() and n >= 2):
+        raise ValueError(f"n must be an integer >= 2, not {n!r}")
+    return int(n)
+
+
 def _joint_center(mus, count: int) -> float:
     """The exact sum of ``count`` finite locations, rounded once."""
     mus = [float(m) for m in mus]
@@ -167,10 +174,13 @@ def jm_verdict_elliptical(sigmas, mus, g: CharacteristicGenerator) -> Mixability
 # Non-JM certificates for odd tuples of symmetric densities
 # ---------------------------------------------------------------------------
 
-def _odd_count(families) -> int:
+def _odd_symmetric(families) -> int:
+    """n for 2n + 1 families symmetric about 0; HypothesisViolation otherwise."""
     count = len(families)
     if count < 3 or count % 2 == 0:
         raise HypothesisViolation("need an odd number (>= 3) of families")
+    if not all(fam.symmetric and fam.center == 0.0 for fam in families):
+        raise HypothesisViolation("families must be symmetric about 0")
     return (count - 1) // 2
 
 
@@ -180,13 +190,9 @@ def not_jm_bounded_symmetric(families, a: float) -> MixabilityVerdict:
     a = float(a)
     if a <= 0:
         raise HypothesisViolation("a must be positive")
-    n = _odd_count(families)
-    for fam in families:
-        lo, hi = fam.support
-        if lo < -a - 1e-12 or hi > a + 1e-12:
-            raise HypothesisViolation("support must be contained in [-a, a]")
-        if not (fam.symmetric and fam.center == 0.0):
-            raise HypothesisViolation("families must be symmetric about 0")
+    n = _odd_symmetric(families)
+    if not all(-a <= fam.support[0] and fam.support[1] <= a for fam in families):
+        raise HypothesisViolation("support must be contained in [-a, a]")
     point = n * a / (n + 1.0)
     cdf_values = [float(fam.cdf(point)) for fam in families]
     return _certify("bounded_symmetric", {"a": a, "n": n, "evaluation_point": point,
@@ -198,10 +204,7 @@ def not_jm_unbounded_symmetric(families, a_grid) -> MixabilityVerdict:
     """2n+1 symmetric densities on the line: NotJM when some a > 0 satisfies
     F_i(a) - F_i(n a/(n+1)) >= n/(2n+1) for all i.  The existential a is
     searched over the supplied grid only; absence yields Unknown."""
-    n = _odd_count(families)
-    for fam in families:
-        if not (fam.symmetric and fam.center == 0.0):
-            raise HypothesisViolation("families must be symmetric about 0")
+    n = _odd_symmetric(families)
     search = {"n": n, "threshold": n / (2.0 * n + 1.0), "a_grid": [float(a) for a in a_grid]}
     for a in search["a_grid"]:
         if a > 0:
@@ -232,9 +235,7 @@ def skewnormal_noncm_certificate(n: int, lam: float) -> MixabilityVerdict:
     E the skew-normal mean.  At lam = 0 the bound can never fire."""
     from .families import SkewNormal
 
-    if not (float(n).is_integer() and n >= 2):
-        raise ValueError(f"n must be an integer >= 2, not {n!r}")
-    n = int(n)
+    n = _whole_n(n)
     lam_abs = abs(float(lam))
     sn = SkewNormal(0.0, 1.0, lam_abs)
     mean = sn.mean()
@@ -266,13 +267,13 @@ def skewnormal_threshold(n: int) -> float:
 
 def ssmn_noncm_certificate(n: int, lam: float, atoms) -> MixabilityVerdict:
     """SSMN with finite discrete H: certify NotJM only when the skew-normal
-    bound fires at lambda * v for every atom v of H; H's atoms are checked
-    by ``families.h_atoms``."""
-    from .families import h_atoms
-
+    bound fires at lambda * v for every atom v of H; H's (value,
+    probability) atoms are a finite law as ``discrete_law`` decides."""
+    atoms = [(float(v), float(p)) for v, p in atoms]
+    discrete_law((p, v) for v, p in atoms)
     sub = [
         {"atom": v, "prob": p, "certificate": skewnormal_noncm_certificate(n, lam * v).certificate}
-        for v, p in h_atoms(atoms)
+        for v, p in atoms
     ]
     return _certify("ssmn", {"n": int(n), "lam": float(lam), "atoms": sub})
 

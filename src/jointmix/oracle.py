@@ -17,6 +17,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+# the row sums of n columns, bit for bit np.column_stack(cols).sum(axis=1)
+from .generators import _pairwise_sum as _row_sums
+
 __all__ = [
     "QuantileGrid",
     "RearrangementResult",
@@ -135,28 +138,6 @@ def _stable_argsort(keys):
     composite.sort(kind="stable")  # nearly sorted: a run-merging sort
     composite -= base
     return composite
-
-
-def _row_sums(cols):
-    """``np.column_stack(cols).sum(axis=1)``, bit for bit, without the (m, n)
-    matrix.
-
-    numpy adds each row's pairwise sum to +0.0, so a row of -0.0 sums to
-    +0.0.  Below 8 entries that sum runs left to right; up to 128 it keeps 8
-    interleaved partial sums, joins them as ((s0 + s1) + (s2 + s3)) +
-    ((s4 + s5) + (s6 + s7)) and adds the entries past the last multiple of 8
-    left to right.  Wider rows take numpy's own reduction.
-    """
-    n = len(cols)
-    if n > 128:
-        return np.column_stack(cols).sum(axis=1)
-    if n < 8:
-        return sum(cols[1:], 0.0 + cols[0])
-    s = cols[:8]
-    for i in range(8, n - n % 8, 8):
-        s = [a + b for a, b in zip(s, cols[i:i + 8])]
-    head = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
-    return 0.0 + sum(cols[n - n % 8:], head)
 
 
 def _ra_single(grid_vals, init_perms, max_sweeps):
@@ -291,6 +272,14 @@ class ConstantSumReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
+def _check_center_tol(C: float, rel_tol: float) -> None:
+    """ValueError unless C is finite and rel_tol is >= 0 and finite."""
+    if not math.isfinite(C):
+        raise ValueError(f"the center C must be finite, not {C!r}")
+    if not 0.0 <= rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be >= 0 and finite, not {rel_tol!r}")
+
+
 def verify_constant_sum(batch, C: float, rel_tol: float) -> ConstantSumReport:
     """Check that row sums of a batch sit at the claimed center.
 
@@ -303,10 +292,7 @@ def verify_constant_sum(batch, C: float, rel_tol: float) -> ConstantSumReport:
     data = np.asarray(getattr(batch, "data", batch), dtype=float)
     if data.ndim != 2 or 0 in data.shape:
         raise ValueError("batch must be a nonempty N x n matrix")
-    if not math.isfinite(C):
-        raise ValueError(f"the center C must be finite, not {C!r}")
-    if not 0.0 <= rel_tol < math.inf:
-        raise ValueError(f"rel_tol must be >= 0 and finite, not {rel_tol!r}")
+    _check_center_tol(C, rel_tol)
     dev = np.abs(data.sum(axis=1) - C)
     bound = rel_tol * (1.0 + abs(C) + np.abs(data).sum(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -235,6 +235,13 @@ def test_verify_missing_file(capsys):
     assert code == EXIT_IO
 
 
+@pytest.mark.parametrize("setting", [("-C", "nan"), ("-C", "0", "--rel-tol", "inf")])
+def test_verify_refuses_bad_settings_before_reading(tmp_path, capsys, setting):
+    # a usage error, not an I/O error, even where the file does not exist
+    code, out, err = run(capsys, "verify", "-i", str(tmp_path / "missing.csv"), *setting)
+    assert code == EXIT_USAGE and out == "" and "must be" in err and "cannot read" not in err
+
+
 # --- explore ----------------------------------------------------------------
 
 def test_explore_skew_grid(tmp_path, capsys):

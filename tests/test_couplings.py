@@ -286,6 +286,25 @@ def test_scale_mixture_rejects_bad_base():
         sample_cm_scale_mixture(pair, [(1.0, 1.0)], 3, 10, seed=0)
 
 
+@pytest.mark.parametrize("n", [2.5, 1.0, math.nan])
+def test_samplers_reject_a_fractional_n(n):
+    base = Elliptical(0.0, 1.0, NORMAL)
+    with pytest.raises(ValueError, match="n must be an integer >= 2"):
+        sample_cm_scale_mixture(base, [(1.0, 1.0)], n, 10, seed=0)
+    with pytest.raises(ValueError, match="n must be an integer >= 2"):
+        sample_matrix_variate_cm(2, np.eye(2), NORMAL, n, 10, seed=0)
+
+
+def test_samplers_take_a_whole_float_n():
+    base = Elliptical(0.0, 1.0, NORMAL)
+    whole = sample_cm_scale_mixture(base, [(1.0, 0.5), (2.0, 0.5)], 3.0, 100, seed=3)
+    ref = sample_cm_scale_mixture(base, [(1.0, 0.5), (2.0, 0.5)], 3, 100, seed=3)
+    assert np.array_equal(whole.data, ref.data) and whole.metadata == ref.metadata
+    whole = sample_matrix_variate_cm(2, np.eye(2), NORMAL, 3.0, 100, seed=3)
+    ref = sample_matrix_variate_cm(2, np.eye(2), NORMAL, 3, 100, seed=3)
+    assert np.array_equal(whole.data, ref.data) and whole.metadata == ref.metadata
+
+
 # --- matrix-variate coupling ------------------------------------------------
 
 def test_matrix_p1_antithetic():

@@ -24,7 +24,7 @@ from jointmix.families import (
     UnivariateFamily,
     family_from_spec,
 )
-from jointmix.generators import CharacteristicGenerator
+from jointmix.generators import CharacteristicGenerator, GeneratorError
 
 NORMAL = CharacteristicGenerator.normal()
 T3 = CharacteristicGenerator.student_t(3.0)
@@ -331,7 +331,7 @@ def test_ssmn_mixture_matches_per_atom_reference():
 def test_mixture_rejects_bad_weight_at_construction(bad):
     with pytest.raises(FamilyError, match="weights must be positive and finite"):
         MixtureFamily([Uniform(-1.0, 0.0), Uniform(0.0, 1.0)], [0.5, bad])
-    with pytest.raises(FamilyError, match="H atoms need|H probabilities"):
+    with pytest.raises(GeneratorError, match="atoms must have weights and values positive"):
         SSMN(0.0, 1.0, 2.0, [(1.0, 0.5), (2.0, bad)])
 
 

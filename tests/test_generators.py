@@ -106,20 +106,30 @@ def test_bad_parameters_rejected():
 @pytest.mark.parametrize(
     "atoms, message",
     [
-        ([], "discrete_mixture needs at least one atom"),
-        ([(0.0, 1.0), (1.0, 2.0)], "atoms must have weights in (0,1] and scales > 0"),
-        ([(1.5, 1.0)], "atoms must have weights in (0,1] and scales > 0"),
-        ([(0.5, 1.0), (0.5, -2.0)], "atoms must have weights in (0,1] and scales > 0"),
-        ([(0.5, 1.0), (0.5 + 2e-12, 2.0)], "atom weights must sum to 1 within 1e-12"),
-        ([(math.nan, 1.0)], "atoms must have weights in (0,1] and scales > 0"),
-        ([(0.5, 1.0), (math.nan, 2.0)], "atoms must have weights in (0,1] and scales > 0"),
-        ([(1.0, math.nan)], "atoms must have weights in (0,1] and scales > 0"),
-        ([(1.0, math.inf)], "atoms must have weights in (0,1] and scales > 0, finite"),
+        ([], "a finite law needs at least one atom"),
+        ([(0.0, 1.0), (1.0, 2.0)], "atoms must have weights and values positive and finite"),
+        ([(1.5, 1.0)], "atom weights must sum to 1 within 1e-9"),
+        ([(0.5, 1.0), (0.5, -2.0)], "atoms must have weights and values positive and finite"),
+        ([(0.5, 1.0), (0.5 + 2e-9, 2.0)], "atom weights must sum to 1 within 1e-9"),
+        ([(math.nan, 1.0)], "atoms must have weights and values positive and finite"),
+        ([(0.5, 1.0), (math.nan, 2.0)], "atoms must have weights and values positive and finite"),
+        ([(1.0, math.nan)], "atoms must have weights and values positive and finite"),
+        ([(1.0, math.inf)], "atoms must have weights and values positive and finite"),
     ],
 )
 def test_discrete_mixture_atoms_checked_with_messages(atoms, message):
     with pytest.raises(GeneratorError, match=re.escape(message)):
         CharacteristicGenerator("discrete_mixture", atoms=tuple(atoms))
+
+
+def test_discrete_mixture_weights_within_the_sum_tolerance_are_normalised():
+    # the one rule for finite laws: a sum off by at most 1e-9 is accepted and
+    # the weights are divided by it
+    g = CharacteristicGenerator.discrete_mixture([(0.5, 1.0), (0.5 + 5e-10, 2.0)])
+    (p1, _), (p2, _) = mixing_law(g).atoms
+    total = 1.0 + 5e-10
+    assert (p1, p2) == (0.5 / total, (0.5 + 5e-10) / total)
+    assert g.spec()["atoms"] == [[0.5, 1.0], [0.5 + 5e-10, 2.0]]
 
 
 def test_spec_round_trip():

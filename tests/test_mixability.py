@@ -197,6 +197,14 @@ def test_bounded_certificate_hypothesis_checks():
         not_jm_bounded_symmetric([Uniform(-1, 1)] * 4, 1.0)  # even count
 
 
+def test_bounded_certificate_compares_the_support_exactly():
+    # U(-2e-20, 2e-20) is 3-CM, but at a = 1e-20 its CDF 0.625 at a/2 is below
+    # 2/3: an absolute slack on the support would let it read NotJM
+    with pytest.raises(HypothesisViolation, match="support must be contained"):
+        not_jm_bounded_symmetric([Uniform(-2e-20, 2e-20)] * 3, 1e-20)
+    assert not_jm_bounded_symmetric([Uniform(-1e-20, 1e-20)] * 3, 1e-20).verdict == UNKNOWN
+
+
 def test_symmetric_certificates_reject_off_center_laws():
     # U(0,1) x 3 is 3-CM: (U, frac(U + 1/2), 3/2 - U - frac(U + 1/2)) sums to 3/2,
     # so neither criterion, which needs symmetry about 0, may call it NotJM
@@ -287,20 +295,50 @@ def test_ssmn_rejects_nonpositive_atoms():
     with pytest.raises(ValueError):
         ssmn_noncm_certificate(2, 1.0, [])
     for atom in [(math.nan, 1.0), (math.inf, 1.0), (1.0, -0.5), (1.0, math.nan), (1.0, 5.0)]:
-        with pytest.raises(ValueError, match="H "):
+        with pytest.raises(ValueError, match="^atom"):
             ssmn_noncm_certificate(3, 50.0, [atom])
 
 
-def test_h_rule_is_one_rule():
-    # probabilities that sum to 1.4 are no law, for the certificate, the
-    # scale-mixture coupling and the SSMN family alike
-    not_a_law = [(1.0, 0.7), (2.0, 0.7)]
-    with pytest.raises(ValueError, match="H probabilities must sum to 1"):
-        ssmn_noncm_certificate(3, 50.0, not_a_law)
-    with pytest.raises(ValueError, match="H probabilities must sum to 1"):
-        couplings.sample_cm_scale_mixture(Elliptical(0.0, 1.0, NORMAL), not_a_law, 3, 10, seed=0)
-    with pytest.raises(ValueError, match="H probabilities must sum to 1"):
-        SSMN(0.0, 1.0, 50.0, not_a_law)
+# (value, probability) atoms of a finite law, and whether they are one
+_FINITE_LAW_CASES = {
+    "empty": ([], False),
+    "zero_probability": ([(1.0, 0.0), (2.0, 1.0)], False),
+    "zero_value": ([(0.0, 0.5), (2.0, 0.5)], False),
+    "nan_probability": ([(1.0, math.nan), (2.0, 1.0)], False),
+    "nan_value": ([(math.nan, 0.5), (2.0, 0.5)], False),
+    "inf_probability": ([(1.0, math.inf)], False),
+    "inf_value": ([(math.inf, 0.5), (2.0, 0.5)], False),
+    "sum_1.4": ([(1.0, 0.7), (2.0, 0.7)], False),
+    "sum_overflows": ([(1.0, 1e308), (2.0, 1e308)], False),
+    "sum_off_by_5e-10": ([(1.0, 0.5), (2.0, 0.5 + 5e-10)], True),
+    "sum_off_by_2e-9": ([(1.0, 0.5), (2.0, 0.5 + 2e-9)], False),
+    "sum_exactly_1": ([(1.0, 0.25), (2.0, 0.75)], True),
+}
+
+
+def _finite_law_entry_points(atoms):
+    # each takes the same atoms in its own order: (weight, scale) for the
+    # generator, (value, probability) for H
+    base = Elliptical(0.0, 1.0, NORMAL)
+    return [
+        lambda: CharacteristicGenerator.discrete_mixture([(p, v) for v, p in atoms]),
+        lambda: SSMN(0.0, 1.0, 50.0, atoms),
+        lambda: ssmn_noncm_certificate(3, 50.0, atoms),
+        lambda: couplings.sample_cm_scale_mixture(base, atoms, 3, 10, seed=0),
+    ]
+
+
+@pytest.mark.parametrize("case", sorted(_FINITE_LAW_CASES))
+def test_h_rule_is_one_rule(case):
+    # the generator's atoms and H are one kind of law: every entry point
+    # accepts or refuses the same atoms alike, and a refusal is a ValueError
+    atoms, is_law = _FINITE_LAW_CASES[case]
+    for build in _finite_law_entry_points(atoms):
+        if is_law:
+            build()
+        else:
+            with pytest.raises(ValueError, match="atom"):
+                build()
 
 
 def test_certificates_reject_non_integer_n():
