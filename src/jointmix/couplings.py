@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import Elliptical, UnivariateFamily
+from .families import UnivariateFamily
 from .generators import CharacteristicGenerator, discrete_law, mixing_law
 from .mixability import _joint_center, _unimodal_symmetric, _whole_n, check_scale_inequality
 
@@ -37,8 +37,6 @@ __all__ = [
 _FLOAT_FMT = "%.17g"
 _CSV_EOL = "\r\n"  # csv.writer's line terminator
 _CSV_BLOCK_ROWS = 4096  # rows formatted by one % operation
-_TINY = np.finfo(float).tiny
-_BIG = np.finfo(float).max
 
 
 class PolygonInequalityError(ValueError):
@@ -275,14 +273,13 @@ def sample_cm_scale_mixture(base: UnivariateFamily, atoms, n: int, count: int, s
     """Scale mixture of a unimodal-symmetric base: one shared theta ~ H per
     joint draw scales a constant-sum n-tuple about the center c.
 
-    Elliptical bases get the polygon coupling conditionally on theta.  Other
-    bases pair each base draw y - c with its reflection c - y and, for odd n,
-    close one triple T (2U - 1, 2W - 1, 2 - 2U - 2W), W = frac(U + 1/2):
+    The tuple pairs each base draw y - c with its reflection c - y and, for
+    odd n, closes one triple T (2U - 1, 2W - 1, 2 - 2U - 2W), W = frac(U + 1/2):
     each coordinate is uniform on (-1, 1) and the three sum to 0, so by
-    Khintchine's X - c = T V (``_khintchine_scale``) each is a base draw.
-    A base that is not unimodal and symmetric raises HypothesisViolation;
-    H's (value, probability) atoms are a finite law as ``discrete_law``
-    decides.
+    Khintchine's X - c = T V, with T from ``base.khintchine_scale``, each is
+    a base draw.  A base that is not unimodal and symmetric raises
+    HypothesisViolation; H's (value, probability) atoms are a finite law as
+    ``discrete_law`` decides.
     """
     n = _whole_n(n)
     _unimodal_symmetric(base)
@@ -292,51 +289,16 @@ def sample_cm_scale_mixture(base: UnivariateFamily, atoms, n: int, count: int, s
     theta = law.sample_with(rng, count)
     center = base.center
     meta = {"base": base.spec(), "n": n, "H": [[v, p] for v, p in atoms], "exact": True}
-    if isinstance(base, Elliptical):
-        vs = polygon_unit_vectors(np.ones(n))
-        w = mixing_law(base.generator).sample_with(rng, count)
-        z = rng.standard_normal((count, 2))
-        unit = z @ vs.T  # (count, n), sums to 0 per row
-        data = center + (theta * np.sqrt(w) * base.sigma)[:, None] * unit
-    else:
-        pairs = [base.sample_with(rng, count) - center for _ in range(n // 2 - n % 2)]
-        cols = [s * y for y in pairs for s in (1.0, -1.0)]
-        if n % 2:
-            t = _khintchine_scale(base, rng, count)
-            u = rng.uniform(size=count)
-            w = (u + 0.5) % 1.0
-            cols += [t * (2.0 * u - 1.0), t * (2.0 * w - 1.0), t * (2.0 - 2.0 * u - 2.0 * w)]
-        data = center + theta[:, None] * np.column_stack(cols)
+    pairs = [base.sample_with(rng, count) - center for _ in range(n // 2 - n % 2)]
+    cols = [s * y for y in pairs for s in (1.0, -1.0)]
+    if n % 2:
+        t = base.khintchine_scale(rng, count)
+        u = rng.uniform(size=count)
+        w = (u + 0.5) % 1.0
+        cols += [t * (2.0 * u - 1.0), t * (2.0 * w - 1.0), t * (2.0 - 2.0 * u - 2.0 * w)]
+    data = center + theta[:, None] * np.column_stack(cols)
     return SampleBatch(data=data, seed=seed, joint_center=float(n * center),
                        kind="scale_mixture", metadata=meta)
-
-
-def _khintchine_scale(base: UnivariateFamily, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` draws of T >= 0 with X - c = T V, V ~ U(-1, 1) independent
-    of T, for a unimodal base symmetric about c (Khintchine).
-
-    Given a base draw x, P(T > t) = f(c + t) / f(x) for t >= |x - c|, so T is
-    the top of the level set {t : f(c + t) > U f(x)}: doubling from |x - c|
-    brackets it, up to the largest double, and bisection closes the bracket
-    to adjacent doubles.  Both loops end, also where f(x) is 0 or NaN.
-    """
-    c = base.center
-    x = base.sample_with(rng, count)
-    level = rng.uniform(size=count) * base.density(x)
-    lo = np.abs(x - c)
-    hi = np.maximum(2.0 * np.minimum(lo, 0.5 * _BIG), _TINY)  # 2 lo, at most _BIG
-    run = np.arange(count)
-    while run.size:
-        run = run[(hi[run] < _BIG) & (base.density(c + hi[run]) > level[run])]
-        lo[run], hi[run] = hi[run], 2.0 * np.minimum(hi[run], 0.5 * _BIG)
-    run = np.arange(count)
-    while run.size:
-        mid = 0.5 * lo[run] + 0.5 * hi[run]
-        keep = (lo[run] < mid) & (mid < hi[run])
-        run, mid = run[keep], mid[keep]
-        up = base.density(c + mid) > level[run]
-        lo[run[up]], hi[run[~up]] = mid[up], mid[~up]
-    return lo
 
 
 def sample_matrix_variate_cm(

@@ -42,6 +42,7 @@ _QUANTILE_RTOL = 4.0 * _EPS
 # means that the doubles near x are too coarse for the law
 _QUANTILE_MISS = 2.0**-26
 _TINY = np.finfo(float).tiny
+_BIG = np.finfo(float).max
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -145,6 +146,34 @@ class UnivariateFamily:
         # default: inverse-CDF sampling
         return self._quantile_impl(rng.uniform(size=count))
 
+    def khintchine_scale(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` draws of T >= 0 with X - c = T V, V ~ U(-1, 1) independent
+        of T, for a unimodal law symmetric about c (Khintchine).
+
+        Given a draw x, P(T > t) = f(c + t) / f(x) for t >= |x - c|, so T is
+        the top of the level set {t : f(c + t) > U f(x)}: doubling from |x - c|
+        brackets it, up to the largest double, and bisection closes the bracket
+        to adjacent doubles.  Both loops end, also where f(x) is 0 or NaN.
+        Families with a closed-form T override this.
+        """
+        c = self.center
+        x = self.sample_with(rng, count)
+        level = rng.uniform(size=count) * self.density(x)
+        lo = np.abs(x - c)
+        hi = np.maximum(2.0 * np.minimum(lo, 0.5 * _BIG), _TINY)  # 2 lo, at most _BIG
+        run = np.arange(count)
+        while run.size:
+            run = run[(hi[run] < _BIG) & (self.density(c + hi[run]) > level[run])]
+            lo[run], hi[run] = hi[run], 2.0 * np.minimum(hi[run], 0.5 * _BIG)
+        run = np.arange(count)
+        while run.size:
+            mid = 0.5 * lo[run] + 0.5 * hi[run]
+            keep = (lo[run] < mid) & (mid < hi[run])
+            run, mid = run[keep], mid[keep]
+            up = self.density(c + mid) > level[run]
+            lo[run[up]], hi[run[~up]] = mid[up], mid[~up]
+        return lo
+
     def spec(self) -> dict:
         if self._spec_name is None:
             raise NotImplementedError(f"{type(self).__name__} declares no spec")
@@ -243,11 +272,11 @@ class Uniform(UnivariateFamily, spec="uniform"):
     unimodal = True
 
     def __init__(self, lo: float, hi: float):
-        if not hi > lo:
-            raise FamilyError("uniform needs hi > lo")
         self.lo = _finite(lo)
         self.hi = _finite(hi)
-        self.center = 0.5 * (lo + hi)
+        if not 0 < self.hi - self.lo < math.inf:
+            raise FamilyError("uniform needs hi > lo and a finite width hi - lo")
+        self.center = 0.5 * self.lo + 0.5 * self.hi  # lo + hi may overflow
         self.support = (self.lo, self.hi)
 
     def _density(self, x):
@@ -258,9 +287,6 @@ class Uniform(UnivariateFamily, spec="uniform"):
 
     def _quantile_impl(self, p):
         return self.lo + p * (self.hi - self.lo)
-
-    def sample_with(self, rng, count):
-        return rng.uniform(self.lo, self.hi, size=count)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +376,11 @@ class Elliptical(_SymmetricLocationScale, spec="elliptical"):
         w = self.law.sample_with(rng, count)
         return self.mu + self.sigma * np.sqrt(w) * rng.standard_normal(count)
 
+    def khintchine_scale(self, rng, count):
+        # a standard normal is chi_3 V (Maxwell), so sigma sqrt(W) Z is sigma sqrt(W) chi_3 V
+        w = self.law.sample_with(rng, count)
+        return self.sigma * np.sqrt(w) * np.sqrt(rng.chisquare(3.0, size=count))
+
 
 # ---------------------------------------------------------------------------
 # Location-scale wrapper around an arbitrary symmetric base
@@ -387,6 +418,9 @@ class LocationScaleSymmetric(UnivariateFamily, spec="location_scale"):
     def sample_with(self, rng, count):
         y = self.base.sample_with(rng, count)
         return self.mu + self.theta * (y - self.base.center)
+
+    def khintchine_scale(self, rng, count):
+        return self.theta * self.base.khintchine_scale(rng, count)
 
 
 # ---------------------------------------------------------------------------
@@ -860,6 +894,11 @@ class SlashElliptical(_SymmetricLocationScale, spec="slash_elliptical"):
         z = self._base.sample_with(rng, count)
         u = rng.uniform(size=count)
         return z / u ** (1.0 / self.q) + self.mu
+
+    def khintchine_scale(self, rng, count):
+        # Z = T_Z V, so Z / U^(1/q) = (T_Z / U^(1/q)) V
+        t = self._base.khintchine_scale(rng, count)
+        return t / rng.uniform(size=count) ** (1.0 / self.q)
 
 
 # ---------------------------------------------------------------------------

@@ -90,8 +90,8 @@ class CharacteristicGenerator:
     """A scalar generator ``psi`` with ``psi(0) = 1``.
 
     kind is one of ``normal``, ``student_t``, ``cauchy``, ``pearson_vii``,
-    ``discrete_mixture``.  ``atoms`` is a tuple of ``(weight, scale)`` pairs
-    for the discrete-mixture kind, a finite law as ``discrete_law`` decides.
+    ``discrete_mixture``.  ``atoms`` is a tuple of ``(weight, scale)`` pairs for the
+    discrete-mixture kind; W = scale^2 is a finite law as ``discrete_law`` decides.
     """
 
     kind: str
@@ -112,9 +112,8 @@ class CharacteristicGenerator:
                 raise GeneratorError("pearson_vii needs a finite shape > 1/2")
             if not (self.scale is not None and 0 < self.scale < math.inf):
                 raise GeneratorError("pearson_vii needs a finite scale > 0")
-        if k == "discrete_mixture":  # the law of W = scale^2, checked and built once
-            w_atoms = tuple((p, s * s) for p, s in discrete_law(self.atoms).atoms)
-            object.__setattr__(self, "_w_law", MixingLaw("discrete", atoms=w_atoms))
+        if k == "discrete_mixture":  # W = scale^2, its sign kept so that a negative scale fails
+            object.__setattr__(self, "_w_law", discrete_law((p, math.copysign(s * s, s)) for p, s in self.atoms))
 
     # --- convenience constructors -------------------------------------
     @classmethod

@@ -269,7 +269,9 @@ class ConstantSumReport:
     rows: int
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        # strict JSON has no infinity or NaN: a non-finite field is "inf" or "nan"
+        fields = {k: v if not isinstance(v, float) or math.isfinite(v) else str(v) for k, v in asdict(self).items()}
+        return json.dumps(fields, sort_keys=True)
 
 
 def _check_center_tol(C: float, rel_tol: float) -> None:
@@ -293,9 +295,9 @@ def verify_constant_sum(batch, C: float, rel_tol: float) -> ConstantSumReport:
     if data.ndim != 2 or 0 in data.shape:
         raise ValueError("batch must be a nonempty N x n matrix")
     _check_center_tol(C, rel_tol)
-    dev = np.abs(data.sum(axis=1) - C)
-    bound = rel_tol * (1.0 + abs(C) + np.abs(data).sum(axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # inf - inf is a NaN row
+        dev = np.abs(data.sum(axis=1) - C)
+        bound = rel_tol * (1.0 + abs(C) + np.abs(data).sum(axis=1))
         # a row on the center is within any bound, even a zero one
         ratio = np.where(dev == 0.0, 0.0, dev / bound)
     worst = int(np.argmax(ratio))

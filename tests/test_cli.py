@@ -122,6 +122,26 @@ def test_verify_fails_one_altered_row_of_a_heavy_tailed_batch(tmp_path, capsys):
     assert code == 1 and report["passed"] is False and report["worst_row"] == row
 
 
+def test_verify_reports_non_finite_rows_as_strict_json(tmp_path, capsys):
+    # inf - inf is a NaN row sum: strict JSON writes it "nan", and numpy's
+    # invalid-value warning stays off stderr
+    out = tmp_path / "inf.csv"
+    out.write_text("X1,X2,X3\r\n1,2,-3\r\ninf,-inf,inf\r\n")
+
+    def no_constant(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    code, rep_out, err = run(capsys, "verify", "-i", str(out), "-C", "0")
+    report = json.loads(rep_out, parse_constant=no_constant)
+    assert code == 1 and err == ""
+    assert report["max_abs_deviation"] == report["worst_ratio"] == "nan"
+    assert report["worst_row"] == 1 and report["passed"] is False
+    out.write_text("X1,X2\r\n1e308,1e308\r\n")  # the sum overflows to inf
+    code, rep_out, err = run(capsys, "verify", "-i", str(out), "-C", "0")
+    report = json.loads(rep_out, parse_constant=no_constant)
+    assert code == 1 and err == "" and report["max_abs_deviation"] == "inf"
+
+
 def test_verify_rejects_a_negative_or_nan_tolerance(tmp_path, capsys):
     out = tmp_path / "draws.csv"
     run(capsys, "sample", "--sigmas", "1,1", "-N", "10", "-o", str(out))
@@ -486,6 +506,7 @@ _BAD_FAMILY_SPECS = {
     "lo_a_string": {"family": "uniform", "lo": "a", "hi": 1.0},
     "components_a_number": {"family": "mixture", "components": 5, "weights": [1.0]},
     "generator_a_string": {"family": "elliptical", "mu": 0.0, "sigma": 1.0, "generator": "x"},
+    "uniform_width_overflows": {"family": "uniform", "lo": -1e308, "hi": 1e308},
     # unimodality follows from the components and cannot be stated
     "mixture_unimodal": {"family": "mixture", "weights": [0.5, 0.5], "symmetric": True,
                          "unimodal": True,
@@ -511,6 +532,7 @@ def test_malformed_family_spec_exits_usage(tmp_path, capsys, command, name):
     assert not (tmp_path / "x.csv").exists()
 
 
+_HUGE_SCALE = {"kind": "discrete_mixture", "atoms": [[1.0, 1e200]]}
 # a config value of the wrong JSON type: a usage error, not the NotJM code 1
 _BAD_VALUE_CONFIGS = {
     "sample_H_a_number": ("sample", {"coupling": "scale_mixture", "n": 3, "H": 5}),
@@ -536,6 +558,11 @@ _BAD_VALUE_CONFIGS = {
                                         "H": [[1.0, 0.7], [2.0, 0.7]]}),
     "sample_H_sum_overflows": ("sample", {"coupling": "scale_mixture", "n": 3,
                                           "H": [[1.0, 1e308], [2.0, 1e308]]}),
+    # W = scale^2 = 1e400 overflows: refused, not sampled as rows of inf and -inf
+    "sample_generator_scale_squared_overflows": ("sample", {"coupling": "scale_mixture", "n": 3,
+                                                            "generator": _HUGE_SCALE}),
+    "check_generator_scale_squared_overflows": ("check", {"sigmas": [1.0, 1.0, 1.0],
+                                                          "generator": _HUGE_SCALE}),
     "sample_coupling_unknown": ("sample", {"coupling": "foo"}),
     "check_config_a_list": ("check", [1, 2]),
     "oracle_no_families": ("oracle", {"families": []}),

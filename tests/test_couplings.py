@@ -218,7 +218,7 @@ def test_scale_mixture_marginal_is_scale_mixture():
     assert stat <= 1.63 / math.sqrt(10**5)
 
 
-# unimodal-symmetric bases that are not Elliptical: the pair-and-triple coupling
+# unimodal-symmetric bases that are not Elliptical
 SCALE_MIXTURE_BASES = {
     "uniform": Uniform(-1.0, 1.0),
     "uniform_off_center": Uniform(2.0, 5.0),
@@ -271,8 +271,56 @@ class _ZeroDensityDraws(Uniform):
 def test_scale_mixture_ends_where_the_density_is_zero():
     base = _ZeroDensityDraws(-1.0, 1.0)
     batch = sample_cm_scale_mixture(base, [(1.0, 1.0)], 3, 10, seed=0)
+    assert base.calls > 0  # a Uniform has no closed-form T: the level-set search ran
     assert np.all(np.isfinite(batch.data))
     assert np.max(np.abs(batch.data.sum(axis=1))) <= 1e-12 * np.max(np.abs(batch.data))
+
+
+# families whose structure gives the Khintchine scale T in closed form
+CLOSED_FORM_T = {
+    "normal": Elliptical(0.5, 2.0, NORMAL),
+    "student_t3": Elliptical(0.0, 1.0, T3),
+    "cauchy": Elliptical(-1.0, 0.5, CAUCHY),
+    "discrete_mixture": Elliptical(
+        0.0, 1.0, CharacteristicGenerator.discrete_mixture([(0.3, 0.5), (0.7, 2.0)])
+    ),
+    "slash_normal_q0.3": SlashElliptical(0.0, 1.0, NORMAL, 0.3),
+    "slash_t": SlashElliptical(0.5, 2.0, T3, 1.5),
+    "location_scale_t": LocationScaleSymmetric(Elliptical(1.0, 1.0, T3), -2.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_T))
+def test_closed_form_khintchine_scale_has_the_family_law(name):
+    # Khintchine: P(T <= t) = 2 F(c + t) - 1 - 2 t f(c + t), and c + T V with
+    # V ~ U(-1, 1) is a draw of the family
+    base, count = CLOSED_FORM_T[name], 20000
+    c = base.center
+    rng = np.random.default_rng(1)
+    t = base.khintchine_scale(rng, count)
+    x = c + t * rng.uniform(-1.0, 1.0, size=count)
+
+    def t_cdf(s):
+        return 2.0 * base.cdf(c + s) - 1.0 - 2.0 * s * base.density(c + s)
+
+    assert stats.kstest(t, t_cdf).statistic <= 1.63 / math.sqrt(count)
+    assert stats.kstest(x, base.cdf).statistic <= 1.63 / math.sqrt(count)
+
+
+def test_closed_form_khintchine_scales_evaluate_no_density(monkeypatch):
+    from jointmix import families
+
+    def no_density(self, x):
+        raise AssertionError("a closed-form T evaluates no density")
+
+    for cls in (families._SymmetricLocationScale, LocationScaleSymmetric):
+        monkeypatch.setattr(cls, "_density", no_density)
+    for base in CLOSED_FORM_T.values():
+        with pytest.raises(AssertionError, match="no density"):
+            base.density(base.center)
+        assert np.all(base.khintchine_scale(np.random.default_rng(0), 100) > 0)
+        batch = sample_cm_scale_mixture(base, [(1.0, 0.5), (2.0, 0.5)], 5, 100, seed=0)
+        assert verify_constant_sum(batch, batch.joint_center, 1e-8).passed
 
 
 def test_scale_mixture_rejects_bad_base():

@@ -423,6 +423,22 @@ def test_invalid_inputs():
         LocationScaleSymmetric(SkewNormal(0, 1, 2.0), 0.0, 1.0)
 
 
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-1.7e308, 1.7e308), (1.0, 1.0), (2.0, 1.0)])
+def test_uniform_needs_a_positive_finite_width(lo, hi):
+    # a width that overflows would give a zero density and an infinite median
+    with pytest.raises(FamilyError, match="width"):
+        Uniform(lo, hi)
+    assert Uniform(0.0, 1e308).quantile(0.5) == 5e307
+    assert Uniform(1e308, 1.7e308).center == pytest.approx(1.35e308)  # lo + hi overflows
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 1.0), (2.0, 5.0), (-1e300, 1e307)])
+def test_uniform_draws_are_numpys_uniform(lo, hi):
+    # inverse-CDF sampling computes lo + (hi - lo) u, as Generator.uniform does
+    expected = np.random.default_rng(7).uniform(lo, hi, 10**4)
+    assert np.array_equal(Uniform(lo, hi).sample(10**4, 7), expected)
+
+
 _WITH_PARAMETER = {
     "uniform": lambda x: Uniform(0.0, x) if x > 0 else Uniform(x, 0.0),
     "elliptical_mu": lambda x: Elliptical(x, 1.0, NORMAL),

@@ -115,6 +115,9 @@ def test_bad_parameters_rejected():
         ([(0.5, 1.0), (math.nan, 2.0)], "atoms must have weights and values positive and finite"),
         ([(1.0, math.nan)], "atoms must have weights and values positive and finite"),
         ([(1.0, math.inf)], "atoms must have weights and values positive and finite"),
+        # the law checked is that of W = scale^2, which overflows or underflows here
+        ([(1.0, 1e200)], "atoms must have weights and values positive and finite"),
+        ([(0.5, 1.0), (0.5, 1e-200)], "atoms must have weights and values positive and finite"),
     ],
 )
 def test_discrete_mixture_atoms_checked_with_messages(atoms, message):
