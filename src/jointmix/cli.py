@@ -2,9 +2,10 @@
 
 Exit codes of ``check`` encode the verdict (0 = JM, 1 = NotJM, 2 = Unknown)
 so shell pipelines can branch on them; malformed configs and inputs the
-library rejects exit 64, and IO failures exit 66.  Every run is reproducible
-from (config, seed), and the effective config is echoed into each output
-sidecar.
+library rejects exit 64, IO failures exit 66, and any other exception, a
+fault of the program, exits 70 with its traceback on stderr.  Every run is
+reproducible from (config, seed), and the effective config is echoed into
+each output sidecar.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ EXIT_NOT_JM = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_IO = 66
+EXIT_SOFTWARE = 70
 
 # most values one explore range, or one explore grid, may hold
 _MAX_GRID_POINTS = 10**6
@@ -438,6 +440,12 @@ def main(argv=None) -> int:
         # GeneratorError, ...): a usage error, never a verdict code
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        # a fault of the program: never Python's status 1, which is NotJM
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

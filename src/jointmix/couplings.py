@@ -230,10 +230,17 @@ def _write_csv(path, header, table, cell_fmts) -> None:
 # Samplers
 # ---------------------------------------------------------------------------
 
+def _check_count(count) -> None:
+    """Refuse a draw count below 1 (or NaN) before anything is drawn."""
+    if not count >= 1:
+        raise ValueError(f"count must be at least 1, not {count!r}")
+
+
 def _polygon_draws(mus, sigmas, g: CharacteristicGenerator, count: int, seed: int, q=None):
     """mu + sqrt(W) L z, divided by U^(1/q) when q is given, with L row i =
     sigma_i v_i; W, then z, then U are drawn from one generator seeded by
     ``seed``.  Returns the draws and the metadata shared by both couplings."""
+    _check_count(count)
     mus = [float(m) for m in mus]
     sig = np.asarray([float(s) for s in sigmas])
     center = _joint_center(mus, sig.size)
@@ -282,6 +289,7 @@ def sample_cm_scale_mixture(base: UnivariateFamily, atoms, n: int, count: int, s
     ``discrete_law`` decides.
     """
     n = _whole_n(n)
+    _check_count(count)
     _unimodal_symmetric(base)
     atoms = [(float(v), float(p)) for v, p in atoms]
     law = discrete_law((p, v) for v, p in atoms)
@@ -314,6 +322,7 @@ def sample_matrix_variate_cm(
     equicorrelation matrix, whose zero row sums force X e = 0."""
     if p < 1:
         raise ValueError("p must be at least 1")
+    _check_count(count)
     plan = EquicorrelationPlan(n)
     A = psd_factor(np.asarray(sigma_p, dtype=float), "Sigma_p")
     if A.shape != (p, p):

@@ -274,8 +274,9 @@ class Uniform(UnivariateFamily, spec="uniform"):
     def __init__(self, lo: float, hi: float):
         self.lo = _finite(lo)
         self.hi = _finite(hi)
-        if not 0 < self.hi - self.lo < math.inf:
-            raise FamilyError("uniform needs hi > lo and a finite width hi - lo")
+        width = self.hi - self.lo
+        if not (0 < width < math.inf and 1.0 / width < math.inf):
+            raise FamilyError("uniform needs a finite width hi - lo > 0 with a finite reciprocal")
         self.center = 0.5 * self.lo + 0.5 * self.hi  # lo + hi may overflow
         self.support = (self.lo, self.hi)
 
@@ -294,11 +295,12 @@ class Uniform(UnivariateFamily, spec="uniform"):
 # ---------------------------------------------------------------------------
 
 class _SymmetricLocationScale(UnivariateFamily):
-    """mu + sigma * Z for a unimodal law Z symmetric about 0, given by
-    ``std_density`` and ``std_cdf``."""
+    """mu + sigma * Z for a law Z symmetric about 0, given by ``std_density``
+    and ``std_cdf``; unimodal unless a subclass says otherwise."""
 
     symmetric = True
     unimodal = True
+    mu, sigma = 0.0, 1.0
 
     def _density(self, x):
         return self.std_density((x - self.mu) / self.sigma) / self.sigma
@@ -386,7 +388,7 @@ class Elliptical(_SymmetricLocationScale, spec="elliptical"):
 # Location-scale wrapper around an arbitrary symmetric base
 # ---------------------------------------------------------------------------
 
-class LocationScaleSymmetric(UnivariateFamily, spec="location_scale"):
+class LocationScaleSymmetric(_SymmetricLocationScale, spec="location_scale"):
     """``mu + theta * (Y - c)`` for a symmetric base ``Y`` with center ``c``."""
 
     def __init__(self, base: UnivariateFamily, mu: float, theta: float):
@@ -394,22 +396,18 @@ class LocationScaleSymmetric(UnivariateFamily, spec="location_scale"):
             raise FamilyError("base must be symmetric")
         self.base = base
         self.mu = _finite(mu)
-        self.theta = _finite(theta, "theta")
-        self.symmetric = True
+        self.sigma = self.theta = _finite(theta, "theta")
         self.unimodal = base.unimodal
         self.center = self.mu
         lo, hi = base.support
         c = base.center
         self.support = (self.mu + self.theta * (lo - c), self.mu + self.theta * (hi - c))
 
-    def _to_base(self, x):
-        return self.base.center + (x - self.mu) / self.theta
+    def std_density(self, z):
+        return self.base.density(self.base.center + z)
 
-    def _density(self, x):
-        return self.base.density(self._to_base(x)) / self.theta
-
-    def _cdf(self, x):
-        return self.base.cdf(self._to_base(x))
+    def std_cdf(self, z):
+        return self.base.cdf(self.base.center + z)
 
     def _quantile_impl(self, p):
         q = np.asarray(self.base.quantile(p))
@@ -442,15 +440,18 @@ class BimodalPower(UnivariateFamily, spec="bimodal_power"):
         self.center = 0.0
         self.support = (-self.a, self.a)
 
+    # both on t = |x| / a: a power of a overflows or underflows for large r
     def _density(self, x):
         a, r = self.a, self.r
-        c = (2 * r + 1) / (2.0 * a ** (2 * r + 1))
-        return np.where(np.abs(x) <= a, c * x ** (2 * r), 0.0)
+        return np.where(np.abs(x) <= a, (2 * r + 1) / (2.0 * a) * (np.abs(x) / a) ** (2 * r), 0.0)
 
     def _cdf(self, x):
-        a, r = self.a, self.r
-        x = np.clip(x, -a, a)
-        return (x ** (2 * r + 1) + a ** (2 * r + 1)) / (2.0 * a ** (2 * r + 1))
+        # F(-|x|) = (1 - t^k) / 2, k = 2r + 1, from the exact a - |x|: no
+        # cancellation near -a, where F is small
+        a, k = self.a, 2 * self.r + 1
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf at x = 0
+            lower = -0.5 * np.expm1(k * np.log1p(-(a - np.minimum(np.abs(x), a)) / a))
+        return np.where(x > 0, 1.0 - lower, lower)
 
     def _quantile_impl(self, p):
         a, r = self.a, self.r
@@ -561,8 +562,6 @@ class GeneralizedLogistic(_SymmetricLocationScale, spec="generalized_logistic"):
     beyond, Gauss-Legendre in log t up to alpha t = 8 and Gauss-Laguerre on.
     """
 
-    mu, sigma = 0.0, 1.0
-
     def __init__(self, alpha: float, beta: float):
         self.alpha = _finite(alpha, "alpha")
         self.beta = _finite(beta, "beta")
@@ -641,7 +640,7 @@ class GeneralizedLogistic(_SymmetricLocationScale, spec="generalized_logistic"):
 # Kotz type
 # ---------------------------------------------------------------------------
 
-class KotzType(UnivariateFamily, spec="kotz"):
+class KotzType(_SymmetricLocationScale, spec="kotz"):
     """Density generator r^(N-1) exp(-m r^beta) applied to r = ((x-mu)/sigma)^2.
 
     With N > 1 the density vanishes at the center, so the family is symmetric
@@ -649,7 +648,6 @@ class KotzType(UnivariateFamily, spec="kotz"):
     for everything.
     """
 
-    symmetric = True
     unimodal = False
 
     def __init__(self, N: float, m: float, beta: float, mu: float = 0.0, sigma: float = 1.0):
@@ -662,15 +660,19 @@ class KotzType(UnivariateFamily, spec="kotz"):
         self.sigma = _finite(sigma, "sigma")
         self.center = self.mu
         self._s = (2.0 * self.N - 1.0) / (2.0 * self.beta)  # gamma shape
-        self._c = self.beta * self.m ** self._s / math.gamma(self._s)
+        # log(beta m^s / Gamma(s)): m^s and Gamma(s) overflow for large m or N
+        self._log_c = math.log(self.beta) + self._s * math.log(self.m) - math.lgamma(self._s)
 
-    def _density(self, x):
-        z = (x - self.mu) / self.sigma
-        r = z * z
-        return self._c * r ** (self.N - 1.0) * np.exp(-self.m * r ** self.beta) / self.sigma
+    def std_density(self, z):
+        # in log space, log r = 2 log|z|: no factor overflows against one that
+        # vanishes; log 0 = -inf, and inf - inf at |z| = inf, where f is 0
+        az = np.abs(z)
+        with np.errstate(all="ignore"):
+            log_f = (self._log_c + 2.0 * (self.N - 1.0) * np.log(az)
+                     - self.m * az ** (2.0 * self.beta))
+        return np.where(az == np.inf, 0.0, np.exp(log_f))
 
-    def _cdf(self, x):
-        z = (x - self.mu) / self.sigma
+    def std_cdf(self, z):
         half = 0.5 * special.gammainc(self._s, self.m * np.abs(z) ** (2.0 * self.beta))
         return 0.5 + np.sign(z) * half
 

@@ -272,8 +272,8 @@ def cg_eval(g: CharacteristicGenerator, u: float) -> float:
     which is exp(-sqrt(u)) for Cauchy (a = b = 1/2).
     """
     u = float(u)
-    if u < 0:
-        raise GeneratorError("cg_eval requires u >= 0")
+    if not u >= 0:  # NaN fails too
+        raise GeneratorError(f"cg_eval requires u >= 0, not {u!r}")
     law = mixing_law(g)
     if law.kind == "inverse_gamma":
         return _inverse_gamma_laplace(law.a, law.b, u)

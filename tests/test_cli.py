@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from jointmix.cli import EXIT_IO, EXIT_JM, EXIT_NOT_JM, EXIT_UNKNOWN, EXIT_USAGE, main
+from jointmix import mixability
+from jointmix.cli import (
+    EXIT_IO, EXIT_JM, EXIT_NOT_JM, EXIT_SOFTWARE, EXIT_UNKNOWN, EXIT_USAGE, main,
+)
 
 
 def run(capsys, *argv):
@@ -93,6 +96,28 @@ def test_sample_verify_round_trip(tmp_path, capsys):
     code, rep_out, _ = run(capsys, "verify", "-i", str(out), "-C", "6.0")
     assert code == 0
     assert json.loads(rep_out)["passed"] is True
+
+
+_T3 = {"kind": "student_t", "nu": 3.0}
+
+
+@pytest.mark.parametrize("base, count", [
+    ({"family": "elliptical", "mu": 0.0, "sigma": 1.0, "generator": _T3}, 1000),
+    ({"family": "slash_elliptical", "mu": 0.0, "sigma": 1.0, "q": 1.0,
+      "generator": {"kind": "normal"}}, 1000),
+    # a slash-t base at odd n: T comes in closed form from the family
+    ({"family": "slash_elliptical", "mu": 0.0, "sigma": 2.0, "q": 1.5, "generator": _T3}, 20000),
+], ids=["student_t", "slash_normal", "slash_t"])
+def test_scale_mixture_config_round_trip(tmp_path, capsys, base, count):
+    # a family spec in a config, sampled at n = 3 and verified at center 0
+    cfg, out = tmp_path / "cfg.json", tmp_path / "draws.csv"
+    cfg.write_text(json.dumps({"n": 3, "base": base}))
+    code, _, _ = run(capsys, "sample", "--coupling", "scale_mixture", "--config", str(cfg),
+                     "-N", str(count), "-o", str(out))
+    assert code == 0
+    code, rep_out, _ = run(capsys, "verify", "-i", str(out), "-C", "0")
+    report = json.loads(rep_out)
+    assert code == 0 and report["passed"] is True and report["rows"] == count
 
 
 def test_verify_wrong_center_fails(tmp_path, capsys):
@@ -368,12 +393,14 @@ def test_check_output_identical_across_runs(capsys):
         ["sample", "-o", "{tmp}/x.csv"],
         ["oracle", "--example", "foo"],
         ["explore", "--lambda-grid", "1:2:3:4"],
+        ["sample", "--sigmas", "1,1", "-N", "0", "-o", "{tmp}/x.csv"],
+        ["sample", "--sigmas", "1,1", "-N", "-5", "-o", "{tmp}/x.csv"],
     ],
     ids=["check_even_copies", "oracle_m1", "oracle_restarts_negative", "oracle_restarts_0",
          "oracle_max_sweeps_negative", "sample_slash_q0", "sample_slash_qnan",
          "sample_slash_qinf", "explore_n1", "check_unknown_example", "check_empty_sigmas",
          "check_mus_length", "sample_no_sigmas", "oracle_unknown_example",
-         "explore_four_part_range"],
+         "explore_four_part_range", "sample_count_0", "sample_count_negative"],
 )
 def test_library_value_error_exits_usage(tmp_path, capsys, argv):
     code, out, err = run(capsys, *[a.replace("{tmp}", str(tmp_path)) for a in argv])
@@ -533,7 +560,13 @@ def test_malformed_family_spec_exits_usage(tmp_path, capsys, command, name):
 
 
 _HUGE_SCALE = {"kind": "discrete_mixture", "atoms": [[1.0, 1e200]]}
-# a config value of the wrong JSON type: a usage error, not the NotJM code 1
+_WIDE_COLUMN = {"family": "uniform", "lo": 0.0, "hi": 1e308}
+# a mirror-image pair is symmetric but not unimodal
+_MIRROR_PAIR = {"family": "mixture", "weights": [0.5, 0.5], "symmetric": True,
+                "components": [{"family": "uniform", "lo": -1.0, "hi": -0.9},
+                               {"family": "uniform", "lo": 0.9, "hi": 1.0}]}
+# a config value of the wrong JSON type: a usage error, not the NotJM code 1.
+# Flags after the config, if any, follow it in the entry.
 _BAD_VALUE_CONFIGS = {
     "sample_H_a_number": ("sample", {"coupling": "scale_mixture", "n": 3, "H": 5}),
     "sample_n_a_list": ("sample", {"coupling": "scale_mixture", "n": [3]}),
@@ -566,21 +599,64 @@ _BAD_VALUE_CONFIGS = {
     "sample_coupling_unknown": ("sample", {"coupling": "foo"}),
     "check_config_a_list": ("check", [1, 2]),
     "oracle_no_families": ("oracle", {"families": []}),
+    # row sums of this grid can overflow: refused, not an RA run
+    "oracle_row_sums_overflow": ("oracle", {"families": [_WIDE_COLUMN] * 3}),
+    # with the typo ignored, --sigmas 1,1,1 would be a JM verdict
+    "check_unknown_key": ("check", {"sigma": [3, 1, 1]}, "--sigmas", "1,1,1"),
+    "sample_base_not_unimodal": ("sample", {"coupling": "scale_mixture", "n": 3,
+                                            "base": _MIRROR_PAIR}, "-N", "20000"),
+}
+# what stderr must name, where the exit code alone could come from another refusal
+_NAMED_REFUSALS = {
+    "check_unknown_key": "config key 'sigma'",
+    "sample_base_not_unimodal": "HypothesisViolation",
 }
 
 
 @pytest.mark.parametrize("name", list(_BAD_VALUE_CONFIGS))
 def test_config_value_of_wrong_type_exits_usage(tmp_path, capsys, name):
-    command, config = _BAD_VALUE_CONFIGS[name]
+    command, config, *flags = _BAD_VALUE_CONFIGS[name]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    argv = [command, "--config", str(cfg)]
+    argv = [command, "--config", str(cfg), *flags]
     if command == "sample":
         argv += ["-o", str(tmp_path / "x.csv")]
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == "" and len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert _NAMED_REFUSALS.get(name, "") in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def _fault(*args, **kwargs):
+    raise RuntimeError("a fault of the program")
+
+
+@pytest.mark.parametrize("argv, config, patched, expected", [
+    # powers of a that overflow (a = 10) or underflow (a = 0.01): F(a/2) rounds to 1/2
+    (["check", "--example", "2.3", "--a", "10", "--r", "200"], None, None, EXIT_NOT_JM),
+    (["check", "--example", "2.3", "--a", "0.01", "--r", "200"], None, None, EXIT_NOT_JM),
+    # m^s and Gamma(s) of the Kotz constant overflow
+    (["check"], {"example": "3.2", "N": 200.0}, None, EXIT_UNKNOWN),
+    (["check"], {"example": "3.2", "N": 3.0, "m_k": 1e300}, None, EXIT_UNKNOWN),
+    (["check", "--sigmas", "1,1,1"], None, "jm_verdict_elliptical", EXIT_SOFTWARE),
+], ids=["bimodal_power_a_10", "bimodal_power_a_0.01", "kotz_N_200", "kotz_m_1e300", "fault"])
+def test_exit_code_is_a_verdict_or_a_fault(tmp_path, capsys, monkeypatch, argv, config,
+                                           patched, expected):
+    # Python's status 1 after a crash would read as NotJM: a fault exits 70
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    if patched:
+        monkeypatch.setattr(mixability, patched, _fault)
+    code, out, err = run(capsys, *argv)
+    assert code == expected
+    if expected == EXIT_SOFTWARE:
+        assert out == "" and "Traceback" in err and "RuntimeError: a fault" in err
+    else:
+        verdict = {EXIT_NOT_JM: "NotJM", EXIT_UNKNOWN: "Unknown"}[expected]
+        assert err == "" and _strict_json(out)["verdict"] == verdict
 
 
 def test_mixture_base_sidecar_replays(tmp_path, capsys):

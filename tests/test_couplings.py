@@ -353,6 +353,27 @@ def test_samplers_take_a_whole_float_n():
     assert np.array_equal(whole.data, ref.data) and whole.metadata == ref.metadata
 
 
+_SAMPLERS = {
+    "elliptical": lambda count: sample_jm_elliptical([0.0, 0.0], [1.0, 1.0], NORMAL, count, 0),
+    "slash": lambda count: sample_jm_slash([0.0, 0.0], [1.0, 1.0], NORMAL, 2.0, count, 0),
+    "scale_mixture": lambda count: sample_cm_scale_mixture(
+        Elliptical(0.0, 1.0, NORMAL), [(1.0, 1.0)], 3, count, 0),
+    "matrix": lambda count: sample_matrix_variate_cm(2, np.eye(2), NORMAL, 3, count, 0),
+}
+
+
+@pytest.mark.parametrize("count", [0, -5])
+@pytest.mark.parametrize("name", list(_SAMPLERS))
+def test_samplers_refuse_a_count_below_one_before_drawing(monkeypatch, name, count):
+    # not a header-only batch for 0, nor numpy's negative-dimension error for -5
+    def no_draws(seed):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match=f"count must be at least 1, not {count}"):
+        _SAMPLERS[name](count)
+
+
 # --- matrix-variate coupling ------------------------------------------------
 
 def test_matrix_p1_antithetic():

@@ -186,6 +186,38 @@ def test_bimodal_power_values():
     assert f.quantile(0.5625) == pytest.approx(0.5, rel=1e-12)
 
 
+def test_bimodal_power_cdf_is_exact_to_a_few_ulp():
+    # against exact rationals, F = 1/2 + (x/a)^5 / 2; the form
+    # (x^5 + a^5) / (2 a^5) misses by 5.8e-15 on the random points and by
+    # 8.0e-13 near -a, where it cancels
+    from fractions import Fraction
+
+    rng = np.random.default_rng(2024)
+    for a in (0.3, 0.77, 1.0, 1.3, 3.7):
+        for x in (rng.uniform(-a, a, 400), -a + 0.1 * a * rng.uniform(size=400)):
+            exact = [Fraction(1, 2) + (Fraction(v) / Fraction(a)) ** 5 / 2 for v in x]
+            worst = max(abs(Fraction(f) - e) / e for f, e in zip(BimodalPower(a, 2).cdf(x), exact))
+            assert worst <= 2 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("N", [2.0, 200.0])
+@pytest.mark.parametrize("m", [1.0, 1e300])
+def test_kotz_density_matches_mpmath(N, m):
+    # beta m^s / Gamma(s) overflowed for these N and m; in log space the
+    # error is a few ulp of the largest log term, not of the density
+    mp = pytest.importorskip("mpmath")
+    fam = KotzType(N, m, 1.0)
+    z = math.sqrt((N - 1.0) / m) * np.array([-2.0, -1.0, -0.5, 0.7, 0.9, 1.0, 1.2, 1.5])
+    with mp.workdps(40):
+        s = mp.mpf(2.0 * N - 1.0) / 2
+        for zi, got in zip(z, fam.density(z)):
+            r = mp.mpf(zi) ** 2
+            terms = [s * mp.log(m), -mp.loggamma(s), (N - 1.0) * mp.log(r), -m * r]
+            ref = mp.exp(mp.fsum(terms))
+            assert abs(got - ref) <= 8 * np.finfo(float).eps * (1 + sum(map(abs, terms))) * ref
+    assert fam.density(0.0) == fam.density(math.inf) == fam.density(-1e300) == 0.0
+
+
 def test_bimodal_moment_values():
     f0 = BimodalMoment(0)
     assert f0.density(0.0) == pytest.approx(1.0 / math.pi, rel=1e-12)
@@ -423,9 +455,11 @@ def test_invalid_inputs():
         LocationScaleSymmetric(SkewNormal(0, 1, 2.0), 0.0, 1.0)
 
 
-@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-1.7e308, 1.7e308), (1.0, 1.0), (2.0, 1.0)])
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-1.7e308, 1.7e308), (1.0, 1.0), (2.0, 1.0),
+                                    (0.0, 1e-310)])
 def test_uniform_needs_a_positive_finite_width(lo, hi):
-    # a width that overflows would give a zero density and an infinite median
+    # a width that overflows would give a zero density and an infinite median,
+    # and one whose reciprocal overflows an infinite density
     with pytest.raises(FamilyError, match="width"):
         Uniform(lo, hi)
     assert Uniform(0.0, 1e308).quantile(0.5) == 5e307

@@ -51,6 +51,8 @@ def test_discrete_mixture_value():
 def test_negative_u_rejected():
     with pytest.raises(GeneratorError):
         cg_eval(CharacteristicGenerator.normal(), -0.1)
+    with pytest.raises(GeneratorError, match="not nan"):  # not a NaN value of psi
+        cg_eval(CharacteristicGenerator.normal(), math.nan)
 
 
 @pytest.mark.parametrize("g", ALL_GENERATORS, ids=lambda g: g.kind + str(g.nu or ""))
