@@ -55,7 +55,8 @@ def _as_array(x):
 
 
 def _norm_pdf(z):
-    return np.exp(-z**2 / 2.0) / _SQRT_2PI
+    with np.errstate(over="ignore"):  # z^2 = inf past |z| ~ 1.3e154, where exp gives 0
+        return np.exp(-z**2 / 2.0) / _SQRT_2PI
 
 
 def _cauchy_ppf(p):
@@ -343,12 +344,14 @@ class Elliptical(_SymmetricLocationScale, spec="elliptical"):
         law = self.law
         if law.kind != "inverse_gamma":
             return sum(p * _norm_pdf(z / s) / s for p, s in self._scales)
-        if self._is_cauchy():
-            return 1.0 / np.pi / (1.0 + z * z)
-        a, b = law.a, law.b
-        log_c = special.gammaln(a + 0.5) - special.gammaln(a)
-        log_c -= 0.5 * math.log(2.0 * math.pi * b)
-        return np.exp(log_c - (a + 0.5) * np.log1p(z * z / (2.0 * b)))
+        # z * z = inf past |z| ~ 1.3e154, where both forms give 0
+        with np.errstate(over="ignore"):
+            if self._is_cauchy():
+                return 1.0 / np.pi / (1.0 + z * z)
+            a, b = law.a, law.b
+            log_c = special.gammaln(a + 0.5) - special.gammaln(a)
+            log_c -= 0.5 * math.log(2.0 * math.pi * b)
+            return np.exp(log_c - (a + 0.5) * np.log1p(z * z / (2.0 * b)))
 
     def std_cdf(self, z):
         law = self.law
@@ -443,7 +446,8 @@ class BimodalPower(UnivariateFamily, spec="bimodal_power"):
     # both on t = |x| / a: a power of a overflows or underflows for large r
     def _density(self, x):
         a, r = self.a, self.r
-        return np.where(np.abs(x) <= a, (2 * r + 1) / (2.0 * a) * (np.abs(x) / a) ** (2 * r), 0.0)
+        t = np.minimum(np.abs(x), a) / a  # no power of |x| > a, which may overflow
+        return np.where(np.abs(x) <= a, (2 * r + 1) / (2.0 * a) * t ** (2 * r), 0.0)
 
     def _cdf(self, x):
         # F(-|x|) = (1 - t^k) / 2, k = 2r + 1, from the exact a - |x|: no
@@ -571,7 +575,11 @@ class GeneralizedLogistic(_SymmetricLocationScale, spec="generalized_logistic"):
         return -self.alpha * t - 2.0 * self.alpha * np.logaddexp(0.0, -t)
 
     def _kernel(self, x):
-        return np.exp(self._log_g(np.sign(x) * np.abs(x) ** self.beta))
+        # g(t) <= e^(-alpha |t|), 0 in doubles beyond alpha |t| = 800: there
+        # |t| is clipped, as |x|^beta may overflow and _log_g(-inf) is inf - inf
+        with np.errstate(over="ignore"):
+            t = np.minimum(np.abs(x) ** self.beta, 800.0 / self.alpha)
+        return np.exp(self._log_g(np.sign(x) * t))
 
     @cached_property
     def _rules(self):
@@ -615,7 +623,8 @@ class GeneralizedLogistic(_SymmetricLocationScale, spec="generalized_logistic"):
     def std_cdf(self, z):
         if self.beta == 1.0:
             return special.betainc(self.alpha, self.alpha, special.expit(z))
-        t = np.abs(z) ** self.beta
+        with np.errstate(over="ignore"):  # t = inf: the lower tail is 0
+            t = np.abs(z) ** self.beta
         scale = self._norm_const / self.beta
         head = t <= _GL_HEAD_END
         tail = ~head & (t < np.inf)
@@ -673,7 +682,8 @@ class KotzType(_SymmetricLocationScale, spec="kotz"):
         return np.where(az == np.inf, 0.0, np.exp(log_f))
 
     def std_cdf(self, z):
-        half = 0.5 * special.gammainc(self._s, self.m * np.abs(z) ** (2.0 * self.beta))
+        with np.errstate(over="ignore"):  # gammainc(s, inf) = 1
+            half = 0.5 * special.gammainc(self._s, self.m * np.abs(z) ** (2.0 * self.beta))
         return 0.5 + np.sign(z) * half
 
     def _quantile_impl(self, p):
@@ -719,7 +729,9 @@ class SkewNormal(UnivariateFamily, spec="skew_normal"):
 
     def _density(self, x):
         z = (x - self.mu) / self.sigma
-        return 2.0 / self.sigma * _norm_pdf(z) * special.ndtr(self.lam * z)
+        # at lam = 0, Phi(0) = 1/2 also at |z| = inf, where lam z would be NaN
+        skew = special.ndtr(self.lam * z) if self.lam else 0.5
+        return 2.0 / self.sigma * _norm_pdf(z) * skew
 
     def _cdf(self, x):
         return _sn_std_cdf((x - self.mu) / self.sigma, self.lam)

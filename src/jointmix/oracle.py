@@ -113,24 +113,32 @@ class RearrangementResult:
         )
 
 
-def _stable_argsort(keys):
+def _stable_argsort(keys, hint):
     """``np.argsort(keys, kind="stable")`` at the speed of the default sort.
 
-    The default (quicksort) order is right except inside runs of equal keys,
-    where it need not keep index order.  Those runs are put back in index
-    order by one sort of the unique integers run * m + index: the runs keep
-    their places, so subtracting run * m again leaves the indices.  NaN keys
-    sort last but never compare equal, so with any NaN present the stable
-    sort itself is used.
+    ``hint`` is any permutation of the indices, best one that nearly sorts
+    ``keys``.  When ``keys[hint]`` descends at fewer than m/8 places, the
+    run-merging stable sort of ``keys[hint]``, composed with ``hint``, sorts
+    in near-linear time; otherwise the default (quicksort) sorts ``keys``.
+    Either order is right except inside runs of equal keys, where it need
+    not keep index order.  Those runs are put back in index order by one
+    sort of the unique integers run * m + index: the runs keep their places,
+    so subtracting run * m again leaves the indices.  NaN keys sort last but
+    never compare equal, so with any NaN present the stable sort itself is
+    used.
     """
-    order = np.argsort(keys)
+    m = keys.size
+    guess = keys[hint]
+    if 8 * np.count_nonzero(guess[1:] < guess[:-1]) < m:
+        order = hint[np.argsort(guess, kind="stable")]
+    else:
+        order = np.argsort(keys)
     ranked = keys[order]
     if np.isnan(ranked[-1]):
         return np.argsort(keys, kind="stable")
     tie = ranked[1:] == ranked[:-1]
     if not tie.any():
         return order
-    m = keys.size
     base = np.zeros(m, dtype=np.int64)
     np.cumsum(~tie, out=base[1:])
     base *= m
@@ -146,16 +154,20 @@ def _ra_single(grid_vals, init_perms, max_sweeps):
     Each column is re-sorted counter-monotonically against the sum of the
     others, which cannot increase the row-sum variance; the per-sweep variance
     trajectory is recorded so monotonicity is checkable from outside.  The
-    arrangement is held as n contiguous columns, and a column's new values
-    are gathered from its ascending grid column by the new permutation.
-    The run stops at a sweep that changes no column or does not strictly
-    lower the variance: a rule without a constant, so scale-equivariant.
+    arrangement is held as n contiguous columns, and each column carries its
+    order: its rows sorted by the sum of the others at its last update, ties
+    in row order.  The new column is the descending grid column scattered to
+    that order; the old order is the sort's hint, and a sweep changes a
+    column when its order changes.  The permutations into the ascending grid
+    columns are built from the orders once, at the end.  The run stops at a
+    sweep that changes no column or does not strictly lower the variance: a
+    rule without a constant, so scale-equivariant.
     """
     m, n = grid_vals.shape
-    perms = [p.copy() for p in init_perms]
-    cols = [grid_vals[perms[j], j] for j in range(n)]
-    desc_idx = np.arange(m - 1, -1, -1)
-    asc = [np.sort(grid_vals[:, j]) for j in range(n)]
+    cols = [grid_vals[p, j] for j, p in enumerate(init_perms)]
+    # row p^-1(m - 1 - k) holds the k-th largest value of column j
+    orders = [np.argsort(p)[::-1] for p in init_perms]
+    desc = [np.sort(grid_vals[:, j])[::-1].copy() for j in range(n)]
     trajectory = [float(np.var(_row_sums(cols)))]
     converged = False
     for sweeps in range(1, max_sweeps + 1):
@@ -163,14 +175,12 @@ def _ra_single(grid_vals, init_perms, max_sweeps):
         row_sums = _row_sums(cols)
         for j in range(n):
             others = row_sums - cols[j]
-            order = _stable_argsort(others)
-            new_perm = np.empty(m, dtype=int)
-            new_perm[order] = desc_idx
-            if not changed and not np.array_equal(new_perm, perms[j]):
+            order = _stable_argsort(others, orders[j])
+            if not changed and not np.array_equal(order, orders[j]):
                 changed = True
-            cols[j] = asc[j][new_perm]
+            cols[j][order] = desc[j]
             row_sums = others + cols[j]
-            perms[j] = new_perm
+            orders[j] = order
         var = float(np.var(row_sums))
         trajectory.append(var)
         if not changed or not var < trajectory[-2]:
@@ -179,7 +189,10 @@ def _ra_single(grid_vals, init_perms, max_sweeps):
     row_sums = _row_sums(cols)
     spread = float(row_sums.max() - row_sums.min())
     std = float(np.std(row_sums))
-    return np.array(perms), spread, std, sweeps, converged, trajectory
+    perms = np.empty((n, m), dtype=int)
+    for perm, order in zip(perms, orders):
+        perm[order] = np.arange(m - 1, -1, -1)
+    return perms, spread, std, sweeps, converged, trajectory
 
 
 def _precedes(spread, perms, best_spread, best_perms):

@@ -536,3 +536,38 @@ def test_pearson_vii_density_large_shape_is_scaled_student_t(shape):
     np.testing.assert_allclose(pvii, t, rtol=1e-12, atol=0)
     slash = SlashElliptical(0.0, 1.0, CharacteristicGenerator.pearson_vii(shape, m), 2.0)
     assert np.all(np.isfinite(slash.density(z)))
+
+
+
+_FAR = np.array([-math.inf, -1e300, -1e200, 1e200, 1e300, math.inf])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fam", FAMILIES, ids=_IDS)
+def test_far_tails_without_warnings(fam):
+    # |x|^k, z * z and |z|^(2 beta) overflow out here without a warning
+    density, cdf = fam.density(_FAR), fam.cdf(_FAR)
+    assert np.all(density >= 0) and density[0] == density[-1] == 0.0
+    assert np.all(np.diff(cdf) >= 0) and (cdf[0], cdf[-1]) == (0.0, 1.0)
+    assert np.array_equal([fam.density(x) for x in _FAR], density)
+    assert np.array_equal([fam.cdf(x) for x in _FAR], cdf)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fam", [
+    Elliptical(1.0, 2.0, T3),
+    Elliptical(0.0, 1.0, CharacteristicGenerator.pearson_vii(2.0, 1.0)),
+    KotzType(2.0, 1.0, 1.0),
+    KotzType(1.5, 0.5, 2.0, mu=1.0, sigma=2.0),
+    GeneralizedLogistic(1.0, 2.0),
+    GeneralizedLogistic(1.5, 2.0),
+    GeneralizedLogistic(2.0, 0.5),
+], ids=["t3", "pearson_vii", "kotz", "kotz_beta2", "glogistic_1_2", "glogistic_1.5_2",
+        "glogistic_2_0.5"])
+def test_light_tails_are_0_and_1_far_out(fam):
+    # the density and lower tail are below the least double; at t = -inf the
+    # logistic log-kernel -alpha t - 2 alpha log(1 + e^-t) was inf - inf (NaN)
+    half = _FAR.size // 2
+    assert np.array_equal(fam.density(_FAR), np.zeros(_FAR.size))
+    assert np.array_equal(fam.cdf(_FAR), np.repeat([0.0, 1.0], half))
+    assert fam.density(-1e300) == fam.density(-math.inf) == 0.0

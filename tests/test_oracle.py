@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from jointmix import oracle
 from jointmix.couplings import sample_jm_elliptical, sample_jm_slash
-from jointmix.families import BimodalPower, Elliptical, SkewNormal, Uniform, UnivariateFamily
+from jointmix.families import (
+    BimodalPower,
+    Elliptical,
+    KotzType,
+    SkewNormal,
+    Uniform,
+    UnivariateFamily,
+)
 from jointmix.generators import CharacteristicGenerator
 from jointmix.oracle import (
     QuantileGrid,
@@ -171,17 +178,37 @@ _KEY_POOL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.0, -
              3.0, 1e308, -1.7976931348623157e308, np.inf, -np.inf, np.nan]
 
 
-@settings(max_examples=400, deadline=None)
-@given(
-    st.lists(
-        st.one_of(st.sampled_from(_KEY_POOL), st.floats(allow_nan=True, allow_infinity=True)),
-        min_size=1,
-        max_size=300,
-    )
+_KEYS = st.lists(
+    st.one_of(st.sampled_from(_KEY_POOL), st.floats(allow_nan=True, allow_infinity=True)),
+    min_size=1,
+    max_size=300,
 )
-def test_stable_argsort_equals_numpy_stable_sort(keys):
+
+
+def _perturbed_order(keys, seed):
+    """The stable order of ``keys`` each scaled by 1 + 1e-3 N(0, 1): a hint
+    that nearly sorts them, with tied keys in shuffled order."""
+    noise = 1.0 + 1e-3 * np.random.default_rng(seed).standard_normal(keys.size)
+    with np.errstate(all="ignore"):
+        return np.argsort(keys * noise, kind="stable")
+
+
+def _hints(keys, seed):
+    """Any permutation, the identity, the reverse and a nearly sorting order."""
+    m = keys.size
+    return (np.random.default_rng(seed).permutation(m), np.arange(m), np.arange(m)[::-1],
+            _perturbed_order(keys, seed))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_KEYS, st.data())
+def test_stable_argsort_equals_numpy_stable_sort(keys, data):
     keys = np.array(keys, dtype=float)
-    assert np.array_equal(oracle._stable_argsort(keys), np.argsort(keys, kind="stable"))
+    hint = data.draw(st.one_of(
+        st.permutations(range(keys.size)).map(np.array),
+        st.sampled_from(_hints(keys, data.draw(st.integers(0, 2**32 - 1)))),
+    ))
+    assert np.array_equal(oracle._stable_argsort(keys, hint), np.argsort(keys, kind="stable"))
 
 
 @pytest.mark.parametrize("m", [2, 17, 1000, 5000])
@@ -194,7 +221,9 @@ def test_stable_argsort_tie_heavy_and_nan(m):
     with_nan[-1] = np.nan
     scaled = rng.standard_normal(m) * 10.0 ** rng.integers(-300, 300, size=m)
     for keys in (ties, with_nan, scaled, np.zeros(m), np.full(m, np.nan)):
-        assert np.array_equal(oracle._stable_argsort(keys), np.argsort(keys, kind="stable"))
+        for hint in _hints(keys, m) + (np.argsort(keys, kind="stable"),):
+            assert np.array_equal(oracle._stable_argsort(keys, hint),
+                                  np.argsort(keys, kind="stable"))
 
 
 def _reference_ra_single(grid_vals, init_perms, max_sweeps):
@@ -274,6 +303,8 @@ def _ra_reference_grid(kind, n):
     if kind == "student_t":
         return [Elliptical(0.1 * j, 1.0 + j / n, CharacteristicGenerator.student_t(4.0))
                 for j in range(n)]
+    if kind == "kotz":
+        return [KotzType(2.0, 1.0, 1.0)] * n  # bimodal, slow to converge
     return [Uniform(0.0, 1.0)] * n  # identical columns: many tied row sums
 
 
@@ -284,6 +315,31 @@ def test_ra_matches_stable_sort_reference(kind, n):
     seed = 31 * n + len(kind)
     _assert_bit_identical(ra_minimize(grid, restarts=4, seed=seed),
                           _reference_ra_minimize(grid, 4, seed))
+
+
+@pytest.mark.parametrize("n", [3, 10])
+@pytest.mark.parametrize("m", [1000, 5000])
+@pytest.mark.parametrize("kind", ["identical", "kotz", "bimodal"])
+def test_ra_carried_orders_match_reference(monkeypatch, kind, m, n):
+    # random starts sort the row sums by quicksort; converging sweeps, whose
+    # carried order leaves fewer than m/8 descents, by the stable sort of the
+    # hinted sums
+    grid = discretize(_ra_reference_grid(kind, n), m)
+    seed = m + n + len(kind)
+    ref = _reference_ra_minimize(grid, 3, seed)
+    kinds = set()
+    argsort = np.argsort
+
+    def spy(a, *args, kind=None, **kwargs):
+        if a.dtype == float:
+            kinds.add(kind)
+        return argsort(a, *args, kind=kind, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    res = ra_minimize(grid, restarts=3, seed=seed)
+    monkeypatch.undo()
+    _assert_bit_identical(res, ref)
+    assert kinds == {"stable", None}
 
 
 # lattice values and a pool of ties, signed zeros among them, so that row sums
@@ -390,9 +446,9 @@ def test_ra_overflowing_row_sums_match_reference(monkeypatch):
     calls = []
     helper = oracle._stable_argsort
 
-    def spy(keys):
+    def spy(keys, hint):
         calls.append(keys.size)
-        return helper(keys)
+        return helper(keys, hint)
 
     monkeypatch.setattr(oracle, "_stable_argsort", spy)
     for values in _overflowing_grids():
