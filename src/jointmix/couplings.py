@@ -285,7 +285,8 @@ def sample_cm_scale_mixture(base: UnivariateFamily, atoms, n: int, count: int, s
     each coordinate is uniform on (-1, 1) and the three sum to 0, so by
     Khintchine's X - c = T V, with T from ``base.khintchine_scale``, each is
     a base draw.  A base that is not unimodal and symmetric raises
-    HypothesisViolation; H's (value, probability) atoms are a finite law as
+    HypothesisViolation, and at odd n one without a closed-form T raises
+    NotImplementedError; H's (value, probability) atoms are a finite law as
     ``discrete_law`` decides.
     """
     n = _whole_n(n)

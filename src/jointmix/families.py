@@ -13,7 +13,7 @@ safeguarded Newton solver.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, partialmethod
 
 import numpy as np
 
@@ -42,8 +42,8 @@ _QUANTILE_RTOL = 4.0 * _EPS
 # means that the doubles near x are too coarse for the law
 _QUANTILE_MISS = 2.0**-26
 _TINY = np.finfo(float).tiny
-_BIG = np.finfo(float).max
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_2 = math.log(2.0)
 
 
 class FamilyError(ValueError):
@@ -149,31 +149,9 @@ class UnivariateFamily:
 
     def khintchine_scale(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` draws of T >= 0 with X - c = T V, V ~ U(-1, 1) independent
-        of T, for a unimodal law symmetric about c (Khintchine).
-
-        Given a draw x, P(T > t) = f(c + t) / f(x) for t >= |x - c|, so T is
-        the top of the level set {t : f(c + t) > U f(x)}: doubling from |x - c|
-        brackets it, up to the largest double, and bisection closes the bracket
-        to adjacent doubles.  Both loops end, also where f(x) is 0 or NaN.
-        Families with a closed-form T override this.
-        """
-        c = self.center
-        x = self.sample_with(rng, count)
-        level = rng.uniform(size=count) * self.density(x)
-        lo = np.abs(x - c)
-        hi = np.maximum(2.0 * np.minimum(lo, 0.5 * _BIG), _TINY)  # 2 lo, at most _BIG
-        run = np.arange(count)
-        while run.size:
-            run = run[(hi[run] < _BIG) & (self.density(c + hi[run]) > level[run])]
-            lo[run], hi[run] = hi[run], 2.0 * np.minimum(hi[run], 0.5 * _BIG)
-        run = np.arange(count)
-        while run.size:
-            mid = 0.5 * lo[run] + 0.5 * hi[run]
-            keep = (lo[run] < mid) & (mid < hi[run])
-            run, mid = run[keep], mid[keep]
-            up = self.density(c + mid) > level[run]
-            lo[run[up]], hi[run[~up]] = mid[up], mid[~up]
-        return lo
+        of T, for a unimodal law symmetric about c (Khintchine).  A family draws
+        T in closed form from its own structure; one without a closed form is refused."""
+        raise NotImplementedError(f"{type(self).__name__} has no closed-form Khintchine scale")
 
     def spec(self) -> dict:
         if self._spec_name is None:
@@ -285,10 +263,14 @@ class Uniform(UnivariateFamily, spec="uniform"):
         return np.where((x >= self.lo) & (x <= self.hi), 1.0 / (self.hi - self.lo), 0.0)
 
     def _cdf(self, x):
-        return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
+        # clipped first, x - lo is at most the finite width
+        return (np.clip(x, self.lo, self.hi) - self.lo) / (self.hi - self.lo)
 
     def _quantile_impl(self, p):
         return self.lo + p * (self.hi - self.lo)
+
+    def khintchine_scale(self, rng, count):
+        return np.full(count, 0.5 * self.hi - 0.5 * self.lo)  # (hi - lo)/2, which may overflow
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +285,15 @@ class _SymmetricLocationScale(UnivariateFamily):
     unimodal = True
     mu, sigma = 0.0, 1.0
 
+    # z = (x - mu) / sigma, and the standard law's own scalings of z, may
+    # overflow to +-inf far out, where the standard density is 0 and the CDF 0 or 1
     def _density(self, x):
-        return self.std_density((x - self.mu) / self.sigma) / self.sigma
+        with np.errstate(over="ignore"):
+            return self.std_density((x - self.mu) / self.sigma) / self.sigma
 
     def _cdf(self, x):
-        return self.std_cdf((x - self.mu) / self.sigma)
+        with np.errstate(over="ignore"):
+            return self.std_cdf((x - self.mu) / self.sigma)
 
     def _quantile_impl(self, p):
         # only the lower half is solved: 1 - p is exact for p > 1/2, and the
@@ -535,15 +521,20 @@ class MixtureFamily(UnivariateFamily, spec="mixture"):
     def _cdf(self, x):
         return sum(w * c.cdf(x) for w, c in zip(self.probs, self.components))
 
-    def sample_with(self, rng, count):
+    def _per_component(self, rng, count, draw: str):
+        # count draws, each from the method ``draw`` of a component drawn by weight
         idx = rng.choice(len(self.components), p=self.probs, size=count)
         out = np.empty(count)
         for k, comp in enumerate(self.components):
             mask = idx == k
             n_k = int(mask.sum())
             if n_k:
-                out[mask] = comp.sample_with(rng, n_k)
+                out[mask] = getattr(comp, draw)(rng, n_k)
         return out
+
+    sample_with = partialmethod(_per_component, draw="sample_with")
+    # every component of a unimodal mixture is unimodal and symmetric about c
+    khintchine_scale = partialmethod(_per_component, draw="khintchine_scale")
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +547,8 @@ _GL_LAGUERRE_FROM = 8.0  # alpha t from which the tail rule is Gauss-Laguerre
 
 class GeneralizedLogistic(_SymmetricLocationScale, spec="generalized_logistic"):
     """Density proportional to exp(-alpha*t) / (1 + exp(-t))^(2*alpha) with
-    t = sign(x) |x|^beta.
+    t = sign(x) |x|^beta, that is to the kernel g(t) = cosh(t/2)^(-2 alpha),
+    which is 1 at t = 0 and so leaves the normaliser near 1 for every alpha.
 
     The signed power keeps the density symmetric for every beta and recovers
     the standard logistic at alpha = beta = 1.  beta = 1 has a closed
@@ -572,14 +564,14 @@ class GeneralizedLogistic(_SymmetricLocationScale, spec="generalized_logistic"):
         self.center = 0.0
 
     def _log_g(self, t):
-        return -self.alpha * t - 2.0 * self.alpha * np.logaddexp(0.0, -t)
+        return -2.0 * self.alpha * (np.logaddexp(0.5 * t, -0.5 * t) - _LOG_2)
 
     def _kernel(self, x):
-        # g(t) <= e^(-alpha |t|), 0 in doubles beyond alpha |t| = 800: there
-        # |t| is clipped, as |x|^beta may overflow and _log_g(-inf) is inf - inf
+        # g(t) <= 4^alpha e^(-alpha |t|), 0 in doubles beyond |t| = 800/alpha + 2:
+        # there |t| is clipped, as |x|^beta may overflow
         with np.errstate(over="ignore"):
-            t = np.minimum(np.abs(x) ** self.beta, 800.0 / self.alpha)
-        return np.exp(self._log_g(np.sign(x) * t))
+            t = np.minimum(np.abs(x) ** self.beta, 800.0 / self.alpha + 2.0)
+        return np.exp(self._log_g(t))
 
     @cached_property
     def _rules(self):
@@ -603,17 +595,18 @@ class GeneralizedLogistic(_SymmetricLocationScale, spec="generalized_logistic"):
         span = np.log(t_far / t)
         y = np.multiply.outer(span, v)
         log_u = np.log(t)[:, None] + y
-        near = span * (np.exp(k * log_u + self._log_g(np.exp(log_u))) @ wv)
-        # [t_far, inf) with u = t_far + s / alpha: the weight takes e^(-alpha u)
+        # [t_far, inf) with u = t_far + s / alpha: the weight e^-s is taken out
         u = t_far[:, None] + s / a
-        log_h = (k - 1.0) * np.log(u) - 2.0 * a * np.logaddexp(0.0, -u)
-        far = np.exp(log_h - a * t_far[:, None]) @ ws
+        # alpha u overflows past u ~ 1e308 / alpha, where log g is -inf
+        with np.errstate(over="ignore"):
+            near = span * (np.exp(k * log_u + self._log_g(np.exp(log_u))) @ wv)
+            far = np.exp((k - 1.0) * np.log(u) + self._log_g(u) + s) @ ws
         return near + far / a
 
     @cached_property
     def _norm_const(self) -> float:
         if self.beta == 1.0:
-            return 1.0 / special.beta(self.alpha, self.alpha)
+            return math.exp(-2.0 * self.alpha * _LOG_2 - special.betaln(self.alpha, self.alpha))
         total = self._head(np.array([_GL_HEAD_END])) + self._tail(np.array([_GL_HEAD_END]))
         return self.beta / (2.0 * float(total[0]))
 
@@ -644,6 +637,13 @@ class GeneralizedLogistic(_SymmetricLocationScale, spec="generalized_logistic"):
             return special.logit(u)
         return super().sample_with(rng, count)
 
+    def khintchine_scale(self, rng, count):
+        # f(T) = U f(x) where log cosh(T^beta / 2) = L = -log(U g(|x|^beta)) / (2 alpha),
+        # in logs so that nothing overflows: acosh(e^L) = L + log1p(sqrt(1 - e^(-2L)))
+        t = np.abs(self.sample_with(rng, count)) ** self.beta
+        L = -(self._log_g(t) + np.log(rng.uniform(size=count))) / (2.0 * self.alpha)
+        return (2.0 * (L + np.log1p(np.sqrt(-np.expm1(-2.0 * L))))) ** (1.0 / self.beta)
+
 
 # ---------------------------------------------------------------------------
 # Kotz type
@@ -670,7 +670,13 @@ class KotzType(_SymmetricLocationScale, spec="kotz"):
         self.center = self.mu
         self._s = (2.0 * self.N - 1.0) / (2.0 * self.beta)  # gamma shape
         # log(beta m^s / Gamma(s)): m^s and Gamma(s) overflow for large m or N
-        self._log_c = math.log(self.beta) + self._s * math.log(self.m) - math.lgamma(self._s)
+        try:  # lgamma raises OverflowError past s ~ 2.56e305
+            self._log_c = math.log(self.beta) + self._s * math.log(self.m) - math.lgamma(self._s)
+        except OverflowError:
+            self._log_c = math.nan
+        if not -math.inf < self._log_c < math.inf:
+            raise FamilyError(f"the gamma shape (2N - 1)/(2 beta) = {self._s:.3g} is "
+                              "too large for its normalising constant")
 
     def std_density(self, z):
         # in log space, log r = 2 log|z|: no factor overflows against one that
@@ -728,13 +734,17 @@ class SkewNormal(UnivariateFamily, spec="skew_normal"):
         return self.mu + self.sigma * delta * math.sqrt(2.0 / math.pi)
 
     def _density(self, x):
-        z = (x - self.mu) / self.sigma
-        # at lam = 0, Phi(0) = 1/2 also at |z| = inf, where lam z would be NaN
-        skew = special.ndtr(self.lam * z) if self.lam else 0.5
-        return 2.0 / self.sigma * _norm_pdf(z) * skew
+        # z, z^2 and lam z overflow to +-inf far out, where phi(z) is 0: one
+        # guard for all, on a path that evaluates densities many times
+        with np.errstate(over="ignore"):
+            z = (x - self.mu) / self.sigma
+            # at lam = 0, Phi(0) = 1/2 also at |z| = inf, where lam z would be NaN
+            skew = special.ndtr(self.lam * z) if self.lam else 0.5
+            return 2.0 / self.sigma * (np.exp(-z**2 / 2.0) / _SQRT_2PI) * skew
 
     def _cdf(self, x):
-        return _sn_std_cdf((x - self.mu) / self.sigma, self.lam)
+        with np.errstate(over="ignore"):  # z = +-inf far out, where the CDF is 0 or 1
+            return _sn_std_cdf((x - self.mu) / self.sigma, self.lam)
 
     def sample_with(self, rng, count):
         delta = self.lam / math.sqrt(1.0 + self.lam * self.lam)
@@ -742,6 +752,11 @@ class SkewNormal(UnivariateFamily, spec="skew_normal"):
         v = rng.standard_normal(count)
         z = delta * u + math.sqrt(1.0 - delta * delta) * v
         return self.mu + self.sigma * z
+
+    def khintchine_scale(self, rng, count):
+        if self.lam:  # only lam = 0, the law N(mu, sigma^2), is symmetric
+            return super().khintchine_scale(rng, count)
+        return self.sigma * np.sqrt(rng.chisquare(3.0, size=count))  # as in Elliptical
 
 
 class SSMN(MixtureFamily, spec="ssmn"):

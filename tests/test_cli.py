@@ -107,7 +107,13 @@ _T3 = {"kind": "student_t", "nu": 3.0}
       "generator": {"kind": "normal"}}, 1000),
     # a slash-t base at odd n: T comes in closed form from the family
     ({"family": "slash_elliptical", "mu": 0.0, "sigma": 2.0, "q": 1.5, "generator": _T3}, 20000),
-], ids=["student_t", "slash_normal", "slash_t"])
+    # closed-form T for a uniform, a finite mixture and a generalized logistic law
+    ({"family": "uniform", "lo": -1.0, "hi": 1.0}, 1000),
+    ({"family": "mixture", "weights": [0.5, 0.5],
+      "components": [{"family": "elliptical", "mu": 0.0, "sigma": s,
+                      "generator": {"kind": "normal"}} for s in (1.0, 3.0)]}, 1000),
+    ({"family": "generalized_logistic", "alpha": 1.0, "beta": 0.5}, 1000),
+], ids=["student_t", "slash_normal", "slash_t", "uniform", "normal_mixture", "gl_beta_0.5"])
 def test_scale_mixture_config_round_trip(tmp_path, capsys, base, count):
     # a family spec in a config, sampled at n = 3 and verified at center 0
     cfg, out = tmp_path / "cfg.json", tmp_path / "draws.csv"
@@ -343,6 +349,20 @@ def test_oracle_reads_ra_settings_from_config(tmp_path, capsys):
     assert payload["m"] == 40 and payload["restarts"] == 2
 
 
+def test_oracle_generalized_logistic_large_alpha(tmp_path, capsys):
+    # a kernel with the factor 4^(-alpha) underflowed: the first two divided
+    # by 0 (ZeroDivisionError, exit 70), and the third's CDF was NaN
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "families": [{"family": "generalized_logistic", "alpha": a, "beta": b}
+                     for a, b in ((1000.0, 2.0), (540.0, 0.5), (530.0, 0.5))],
+        "m": 20,
+    }))
+    code, out, err = run(capsys, "oracle", "--config", str(cfg))
+    assert code == 0 and err == ""
+    assert json.loads(out)["m"] == 20
+
+
 def test_oracle_families_config(tmp_path, capsys):
     cfg = tmp_path / "fams.json"
     cfg.write_text(json.dumps({
@@ -534,6 +554,8 @@ _BAD_FAMILY_SPECS = {
     "components_a_number": {"family": "mixture", "components": 5, "weights": [1.0]},
     "generator_a_string": {"family": "elliptical", "mu": 0.0, "sigma": 1.0, "generator": "x"},
     "uniform_width_overflows": {"family": "uniform", "lo": -1e308, "hi": 1e308},
+    # the gamma shape (2N - 1)/(2 beta) = 1e308 has no finite lgamma
+    "kotz_shape_overflows": {"family": "kotz", "N": 1e8, "m": 0.5, "beta": 1e-300},
     # unimodality follows from the components and cannot be stated
     "mixture_unimodal": {"family": "mixture", "weights": [0.5, 0.5], "symmetric": True,
                          "unimodal": True,

@@ -18,12 +18,15 @@ from jointmix.couplings import (
     sample_matrix_variate_cm,
 )
 from jointmix.families import (
+    SSMN,
     Elliptical,
     GeneralizedLogistic,
     LocationScaleSymmetric,
     MixtureFamily,
+    SkewNormal,
     SlashElliptical,
     Uniform,
+    UnivariateFamily,
 )
 from jointmix.generators import CharacteristicGenerator
 from jointmix.mixability import JM, jm_verdict_elliptical
@@ -251,29 +254,19 @@ def test_scale_mixture_exact_for_unimodal_symmetric_bases(name, n):
         assert stats.kstest(column, mix_cdf).statistic <= 1.63 / math.sqrt(count)
 
 
-class _ZeroDensityDraws(Uniform):
-    """A uniform law whose sampler returns its center, its edge and points
-    past the edge, where the density is 0; density calls are counted."""
+class _UniformWithoutT(Uniform):
+    """A uniform law that inherits the base class's Khintchine scale."""
 
-    calls = 0
-
-    def sample_with(self, rng, count):
-        hi = self.hi
-        return np.resize([self.center, hi, np.nextafter(hi, np.inf), hi + 1.0, 1e300], count)
-
-    def _density(self, x):
-        self.calls += 1
-        if self.calls > 5000:
-            raise AssertionError("the Khintchine scale search does not end")
-        return super()._density(x)
+    khintchine_scale = UnivariateFamily.khintchine_scale
 
 
-def test_scale_mixture_ends_where_the_density_is_zero():
-    base = _ZeroDensityDraws(-1.0, 1.0)
-    batch = sample_cm_scale_mixture(base, [(1.0, 1.0)], 3, 10, seed=0)
-    assert base.calls > 0  # a Uniform has no closed-form T: the level-set search ran
-    assert np.all(np.isfinite(batch.data))
-    assert np.max(np.abs(batch.data.sum(axis=1))) <= 1e-12 * np.max(np.abs(batch.data))
+def test_scale_mixture_refuses_an_odd_n_base_without_a_khintchine_scale():
+    base = _UniformWithoutT(-1.0, 1.0)
+    with pytest.raises(NotImplementedError, match="_UniformWithoutT"):
+        sample_cm_scale_mixture(base, [(1.0, 1.0)], 3, 10, seed=0)
+    # even n draws only antithetic pairs of base draws
+    batch = sample_cm_scale_mixture(base, [(1.0, 1.0)], 2, 10, seed=0)
+    assert np.array_equal(batch.data[:, 0], -batch.data[:, 1])
 
 
 # families whose structure gives the Khintchine scale T in closed form
@@ -287,6 +280,14 @@ CLOSED_FORM_T = {
     "slash_normal_q0.3": SlashElliptical(0.0, 1.0, NORMAL, 0.3),
     "slash_t": SlashElliptical(0.5, 2.0, T3, 1.5),
     "location_scale_t": LocationScaleSymmetric(Elliptical(1.0, 1.0, T3), -2.0, 3.0),
+    "uniform": Uniform(-1.0, 1.0),
+    "uniform_off_center": Uniform(2.0, 5.0),
+    "normal_mixture": SCALE_MIXTURE_BASES["normal_mixture"],
+    "ssmn_symmetric": SSMN(0.0, 1.0, 0.0, [(1.0, 0.3), (2.5, 0.7)]),
+    "skew_normal_symmetric": SkewNormal(0.5, 1.5, 0.0),
+    "gl_1.5_2": GeneralizedLogistic(1.5, 2.0),
+    "gl_1_0.5": GeneralizedLogistic(1.0, 0.5),
+    "gl_3_1": GeneralizedLogistic(3.0, 1.0),
 }
 
 
@@ -303,7 +304,10 @@ def test_closed_form_khintchine_scale_has_the_family_law(name):
     def t_cdf(s):
         return 2.0 * base.cdf(c + s) - 1.0 - 2.0 * s * base.density(c + s)
 
-    assert stats.kstest(t, t_cdf).statistic <= 1.63 / math.sqrt(count)
+    if isinstance(base, Uniform):  # T is the point mass (hi - lo)/2, beyond a KS test
+        assert np.all(t == (base.hi - base.lo) / 2.0)
+    else:
+        assert stats.kstest(t, t_cdf).statistic <= 1.63 / math.sqrt(count)
     assert stats.kstest(x, base.cdf).statistic <= 1.63 / math.sqrt(count)
 
 
@@ -313,8 +317,9 @@ def test_closed_form_khintchine_scales_evaluate_no_density(monkeypatch):
     def no_density(self, x):
         raise AssertionError("a closed-form T evaluates no density")
 
-    for cls in (families._SymmetricLocationScale, LocationScaleSymmetric):
-        monkeypatch.setattr(cls, "_density", no_density)
+    for cls in vars(families).values():
+        if isinstance(cls, type) and "_density" in vars(cls):
+            monkeypatch.setattr(cls, "_density", no_density)
     for base in CLOSED_FORM_T.values():
         with pytest.raises(AssertionError, match="no density"):
             base.density(base.center)

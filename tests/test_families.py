@@ -404,6 +404,22 @@ def test_generalized_logistic_standard_case():
     assert np.allclose(np.asarray(fam.cdf(xs)), stats.logistic.cdf(xs), atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha, beta", [(1000.0, 2.0), (540.0, 0.5), (530.0, 0.5)])
+def test_generalized_logistic_large_alpha(alpha, beta):
+    # a kernel with the factor 4^(-alpha) underflowed: the normaliser divided
+    # by 0 at (1000, 2) and (540, 0.5), and the CDF was NaN at (530, 0.5)
+    fam = GeneralizedLogistic(alpha, beta)
+    half, _ = integrate.quad(lambda x: float(fam.density(x)), -np.inf, 0.0, epsrel=1e-12)
+    assert half == pytest.approx(0.5, rel=1e-10)
+    p = np.array([1e-9, 1e-3, 0.1, 0.45, 0.5, 0.9])
+    x = np.asarray(fam.quantile(p))
+    assert np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)
+    np.testing.assert_allclose(fam.cdf(x), p, rtol=1e-10, atol=0)
+    lower, _ = integrate.quad(lambda y: float(fam.density(y)), -np.inf, x[1], epsrel=1e-12)
+    assert lower == pytest.approx(1e-3, rel=1e-8)
+
+
 def test_mixture_weights_renormalized():
     fam = MixtureFamily([BimodalMoment(1), BimodalMoment(2)], [2.0, 2.0])
     assert np.allclose(fam.probs, [0.5, 0.5])
@@ -516,9 +532,11 @@ def test_non_finite_parameter_rejected(name, bad):
     *({"family": "mixture", "components": [{"family": "uniform", "lo": -1.0, "hi": 1.0}],
        "weights": [1.0], **extra}
       for extra in ({"unimodal": True}, {"center": 0.0}, {"symmetric": "no"})),
+    # the gamma shape (2N - 1)/(2 beta) = 1e308 has no finite lgamma
+    {"family": "kotz", "N": 1e8, "m": 0.5, "beta": 1e-300},
 ], ids=["missing", "unknown", "unknown_optional", "base_a_string", "generator_a_string",
         "nested_missing", "not_a_dict", "unknown_family", "mixture_unimodal", "mixture_center",
-        "mixture_symmetric_a_string"])
+        "mixture_symmetric_a_string", "kotz_shape_overflows"])
 def test_malformed_spec_rejected(spec):
     with pytest.raises(ValueError):  # FamilyError or GeneratorError
         family_from_spec(spec)
@@ -539,7 +557,7 @@ def test_pearson_vii_density_large_shape_is_scaled_student_t(shape):
 
 
 
-_FAR = np.array([-math.inf, -1e300, -1e200, 1e200, 1e300, math.inf])
+_FAR = np.array([-math.inf, -1.5e308, -1e300, -1e200, 1e200, 1e300, 1.5e308, math.inf])
 
 
 @pytest.mark.filterwarnings("error")
@@ -562,8 +580,10 @@ def test_far_tails_without_warnings(fam):
     GeneralizedLogistic(1.0, 2.0),
     GeneralizedLogistic(1.5, 2.0),
     GeneralizedLogistic(2.0, 0.5),
+    # alpha u overflows in the tail rule at 1.5e308^beta
+    GeneralizedLogistic(1.5, 1.0001),
 ], ids=["t3", "pearson_vii", "kotz", "kotz_beta2", "glogistic_1_2", "glogistic_1.5_2",
-        "glogistic_2_0.5"])
+        "glogistic_2_0.5", "glogistic_1.5_1.0001"])
 def test_light_tails_are_0_and_1_far_out(fam):
     # the density and lower tail are below the least double; at t = -inf the
     # logistic log-kernel -alpha t - 2 alpha log(1 + e^-t) was inf - inf (NaN)
