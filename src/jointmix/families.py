@@ -584,7 +584,7 @@ class GeneralizedLogistic(_SymmetricLocationScale, spec="generalized_logistic"):
     def _head(self, t):
         """int_0^t u^(1/beta - 1) g(u) du."""
         (u, w), _, _ = self._rules
-        return t ** (1.0 / self.beta) * (np.exp(self._log_g(np.multiply.outer(t, u))) @ w)
+        return t ** (1.0 / self.beta) * (np.exp(self._log_g(np.multiply.outer(t, u))) * w).sum(-1)
 
     def _tail(self, t):
         """int_t^inf u^(1/beta - 1) g(u) du for finite t >= _GL_HEAD_END."""
@@ -597,10 +597,12 @@ class GeneralizedLogistic(_SymmetricLocationScale, spec="generalized_logistic"):
         log_u = np.log(t)[:, None] + y
         # [t_far, inf) with u = t_far + s / alpha: the weight e^-s is taken out
         u = t_far[:, None] + s / a
-        # alpha u overflows past u ~ 1e308 / alpha, where log g is -inf
+        # alpha u overflows past u ~ 1e308 / alpha, where log g is -inf.  Each
+        # row is summed on its own, not by a matrix product, whose blocking
+        # makes the sum at one point depend on the others in the call
         with np.errstate(over="ignore"):
-            near = span * (np.exp(k * log_u + self._log_g(np.exp(log_u))) @ wv)
-            far = np.exp((k - 1.0) * np.log(u) + self._log_g(u) + s) @ ws
+            near = span * (np.exp(k * log_u + self._log_g(np.exp(log_u))) * wv).sum(-1)
+            far = (np.exp((k - 1.0) * np.log(u) + self._log_g(u) + s) * ws).sum(-1)
         return near + far / a
 
     @cached_property

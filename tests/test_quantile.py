@@ -440,3 +440,23 @@ def test_generalized_logistic_grid_as_close_as_doubles_allow(alpha, beta):
     u = 2 * np.spacing(np.abs(q))
     jump = np.abs(np.asarray(fam.cdf(q + u)) - np.asarray(fam.cdf(q - u)))
     assert np.all(miss <= 8 * np.spacing(MIDPOINTS) + jump)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.5, 2.0), (1.0, 0.5), (3.0, 1.3)])
+def test_generalized_logistic_cdf_does_not_depend_on_the_batch(alpha, beta):
+    # a matrix product summed the quadrature rows in blocks that depend on
+    # the rows beside them: 408 of these 1001 points moved at (1, 0.5).
+    # Single points go in as 1-element arrays, as the solver passes them
+    # (numpy's scalar pow is not its array loop)
+    fam = GeneralizedLogistic(alpha, beta)
+    x = np.linspace(-6.0, 6.0, 1001)
+    alone = np.array([fam.cdf(x[k:k + 1])[0] for k in range(x.size)])
+    assert np.array_equal(fam.cdf(x), alone)
+    p = np.array([1e-6, 0.01, 0.3, 0.5, 0.97])
+    assert np.array_equal(fam.quantile(p), [fam.quantile(p[k:k + 1])[0] for k in range(p.size)])
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.3])
+def test_generalized_logistic_seeded_sample_is_a_prefix(beta):
+    fam = GeneralizedLogistic(1.0, beta)
+    assert np.array_equal(fam.sample(100, 7), fam.sample(1000, 7)[:100])
