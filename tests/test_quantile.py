@@ -4,9 +4,19 @@ logistic rules.
 The solver's answers are checked against the family's own CDF, to a few ulp
 of p where the CDF is that accurate, and against references computed apart
 from jointmix (quadrature, Brent's method, mpmath) where it is not.
+
+The grids of the solver-backed laws are also pinned bit for bit, by the
+SHA-256 of their bytes in ``quantile_digests.json``.  A change that is meant
+to move a grid must re-record the table and say why:
+
+    PYTHONPATH=src python tests/test_quantile.py
 """
 
+import hashlib
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +30,11 @@ from jointmix.families import (
     Elliptical,
     FamilyError,
     GeneralizedLogistic,
+    LocationScaleSymmetric,
+    MixtureFamily,
     SkewNormal,
     SlashElliptical,
+    Uniform,
     UnivariateFamily,
 )
 from jointmix.generators import CharacteristicGenerator
@@ -30,6 +43,38 @@ NORMAL = CharacteristicGenerator.normal()
 CAUCHY = CharacteristicGenerator.cauchy()
 MIDPOINTS = (np.arange(1000) + 0.5) / 1000
 EPS = np.finfo(float).eps
+
+
+DISCRETE = CharacteristicGenerator.discrete_mixture([(0.25, 0.5), (0.75, 2.0)])
+DIGESTS = Path(__file__).with_name("quantile_digests.json")
+
+# one instance of each law whose quantiles come from the solver
+SOLVED_LAWS = {
+    "skew_normal_5": SkewNormal(0.3, 1.2, 5.0),
+    "skew_normal_-30": SkewNormal(-0.5, 2.0, -30.0),
+    "ssmn": SSMN(0.3, 1.2, 8.0, [(0.6, 0.4), (1.2, 0.6)]),
+    "slash_normal": SlashElliptical(0.5, 1.5, NORMAL, 1.5),
+    "slash_student_t_3": SlashElliptical(0.0, 1.0, CharacteristicGenerator.student_t(3.0), 2.0),
+    "slash_cauchy": SlashElliptical(-1.0, 0.5, CAUCHY, 0.5),
+    "slash_discrete_mixture": SlashElliptical(0.0, 1.0, DISCRETE, 1.0),
+    "elliptical_discrete_mixture": Elliptical(-1.0, 1.5, DISCRETE),
+    # Example 2.2: a mirror-image pair of uniforms, no mass in between
+    "mirror_pair_mixture": MixtureFamily([Uniform(-1.0, -0.9), Uniform(0.9, 1.0)], [0.5, 0.5],
+                                         symmetric=True),
+    "generalized_logistic_1.5_2": GeneralizedLogistic(1.5, 2.0),
+    "generalized_logistic_1_0.5": GeneralizedLogistic(1.0, 0.5),
+    "location_scale_generalized_logistic": LocationScaleSymmetric(
+        GeneralizedLogistic(3.0, 1.3), 2.0, 0.7),
+}
+
+
+def _grid_digest(fam):
+    return hashlib.sha256(np.asarray(fam.quantile(MIDPOINTS), dtype=float).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SOLVED_LAWS))
+def test_solved_grid_is_bit_identical(name):
+    assert _grid_digest(SOLVED_LAWS[name]) == json.loads(DIGESTS.read_text())[name]
 
 
 def _ulps(fam, q, p):
@@ -460,3 +505,9 @@ def test_generalized_logistic_cdf_does_not_depend_on_the_batch(alpha, beta):
 def test_generalized_logistic_seeded_sample_is_a_prefix(beta):
     fam = GeneralizedLogistic(1.0, beta)
     assert np.array_equal(fam.sample(100, 7), fam.sample(1000, 7)[:100])
+
+
+if __name__ == "__main__":
+    table = {name: _grid_digest(fam) for name, fam in sorted(SOLVED_LAWS.items())}
+    DIGESTS.write_text(json.dumps(table, indent=1) + "\n")
+    print(f"recorded {len(table)} grids in {DIGESTS}", file=sys.stderr)
