@@ -94,7 +94,7 @@ class UnivariateFamily:
 
     ``density`` and ``cdf`` take scalars or arrays and return the same; the
     array-only ``_density`` and ``_cdf`` behind them are what subclasses
-    write.
+    write, and ``_cdf_density``, both at once, where the two share work.
 
     A concrete family declares its spec name, ``class Uniform(
     UnivariateFamily, spec="uniform")``.  Its spec fields are then its
@@ -129,14 +129,19 @@ class UnivariateFamily:
     def _cdf(self, x: np.ndarray):
         raise NotImplementedError
 
+    def _cdf_density(self, x: np.ndarray):
+        """(F(x), f(x)), what the quantile solver evaluates at each step; a
+        family whose CDF and density share work computes them together."""
+        return self._cdf(x), self._density(x)
+
     def quantile(self, p):
         p_arr = _as_array(p)
-        if np.any(p_arr <= 0) or np.any(p_arr >= 1):
+        if not np.all((p_arr > 0) & (p_arr < 1)):  # NaN fails too
             raise FamilyError("quantile requires p in (0,1)")
         return _scalar_like(p, self._quantile_impl(np.atleast_1d(p_arr)))
 
     def _quantile_impl(self, p: np.ndarray) -> np.ndarray:
-        return _solve_quantile(self.cdf, self.density, p, self.support)
+        return _solve_quantile(self._cdf_density, p, self.support)
 
     def sample(self, count: int, seed: int) -> np.ndarray:
         if count <= 0:
@@ -170,74 +175,104 @@ def _spec_value(v):
     return [_spec_value(x) for x in v] if isinstance(v, (list, tuple)) else v
 
 
-def _solve_quantile(cdf, density, p, support):
-    """x with cdf(x) = p for each entry of the 1-D array ``p``.
+_RUNGS = 8  # ladder rungs evaluated per call
 
-    Newton steps on ``density``, safeguarded by brackets from one ladder of
-    points that doubles its width toward each infinite end of ``support``.
-    A point starts at the bracket end of larger density, from which Newton is
-    monotone in both tails of a unimodal law, and bisects when a step leaves
-    its bracket or fails to halve the step two iterations back; only running
-    points are evaluated.  A point stops when its step is at most
-    4 eps |x| + tiny, when |cdf(x) - p| <= 4 ulp(p), or when no double is
-    left inside its bracket.  The result is nondecreasing in p.  Raises
-    ``FamilyError`` when the ladder cannot bracket p, the iteration fails, or
-    a point stops with |cdf(x) - p| above 2^-26 (step times density, after a
-    stop on the step): the law is narrower than the doubles near x resolve.
+
+def _solve_quantile(cdf_density, p, support):
+    """x with F(x) = p for each entry of the 1-D array ``p``, where
+    ``cdf_density(x)`` returns (F(x), f(x)) for an array x.
+
+    Each distinct p is solved once.  Newton steps on f, safeguarded by
+    brackets from one ladder of points that doubles its width toward each
+    infinite end of ``support``; up to 8 rungs are evaluated per call, as
+    while neither end changes whether it extends, the next rungs are already
+    fixed.  A point starts at the bracket end of larger density, from which
+    Newton is monotone in both tails of a unimodal law, and bisects when a
+    step leaves its bracket or fails to halve the step two iterations back.
+    Each step evaluates F and f once, at the running points only.  A point
+    stops when its step is at most 4 eps |x| + tiny, when |F(x) - p| <=
+    4 ulp(p), or when no double is left inside its bracket.  The result is
+    nondecreasing in p.  Raises ``FamilyError`` when the ladder cannot
+    bracket p, the iteration fails, or a point stops with |F(x) - p| above
+    2^-26 (step times density, after a stop on the step): the law is
+    narrower than the doubles near x resolve.
     """
+    p, back = np.unique(p, return_inverse=True)
+    p_min, p_max = p[0], p[-1]
     lo_s, hi_s = support
     lo = lo_s if np.isfinite(lo_s) else min(hi_s, 0.0) - 1.0
     hi = hi_s if np.isfinite(hi_s) else max(lo, 0.0) + 1.0
-    xs = np.array([lo, 0.5 * (lo + hi), hi])
-    fs = np.asarray(cdf(xs), dtype=float)
-    while True:
-        width = float(xs[-1] - xs[0])
-        new_lo = [float(xs[0]) - width] * bool(np.isinf(lo_s) and fs[0] > p.min())
-        new_hi = [float(xs[-1]) + width] * bool(np.isinf(hi_s) and fs[-1] < p.max())
-        new = new_lo + new_hi
-        if not new or not np.all(np.isfinite(new)):
+    x0 = [lo, 0.5 * (lo + hi), hi]
+    ladder = list(zip(x0, *(np.asarray(v, dtype=float) for v in cdf_density(np.array(x0)))))
+    while True:  # ladder: (x, F, f) in increasing x
+        down = bool(np.isinf(lo_s) and ladder[0][1] > p_min)
+        up = bool(np.isinf(hi_s) and ladder[-1][1] < p_max)
+        # while neither end changes whether it extends, the next rungs are
+        # fixed: each end moves out by the ladder's width at the time
+        a, b, rungs = ladder[0][0], ladder[-1][0], []
+        while (down or up) and len(rungs) < _RUNGS:
+            width = b - a
+            a, b = (a - width if down else a), (b + width if up else b)
+            if not (math.isfinite(a) and math.isfinite(b)):
+                break
+            rungs.append((a, b))
+        if not rungs:
             break
-        f_new = np.asarray(cdf(np.array(new)), dtype=float)
-        xs = np.concatenate([new_lo, xs, new_hi])
-        fs = np.concatenate([f_new[: len(new_lo)], fs, f_new[len(new_lo):]])
-    if not (np.all(np.isfinite(fs)) and fs[0] <= p.min() and fs[-1] >= p.max()):
+        new = np.array([x for a, b in rungs for x in [a] * down + [b] * up])
+        f_new, d_new = (np.asarray(v, dtype=float).reshape(len(rungs), -1)
+                        for v in cdf_density(new))
+        for (a, b), f, d in zip(rungs, f_new, d_new):
+            if down:
+                ladder.insert(0, (a, f[0], d[0]))
+            if up:
+                ladder.append((b, f[-1], d[-1]))
+            if (down and not f[0] > p_min) or (up and not f[-1] < p_max):
+                break
+    xs, fs, ds = (np.array(v) for v in zip(*ladder))
+    if not (np.all(np.isfinite(fs)) and fs[0] <= p_min and fs[-1] >= p_max):
         raise FamilyError("quantile: the CDF does not bracket the probabilities")
     # the first ladder point whose running-maximum CDF reaches p has F >= p,
     # and the one before it F < p, also where rounding noise breaks the
     # monotony of the computed CDF
     j = np.clip(np.searchsorted(np.maximum.accumulate(fs), p), 1, xs.size - 1)
-    ds = np.asarray(density(xs), dtype=float)
     lo, hi = xs[j - 1], xs[j]
     start = np.where(ds[j - 1] > ds[j], j - 1, j)
     x, f, d = xs[start], fs[start] - p, ds[start]
-    out, idx, order = np.empty_like(p), np.arange(p.size), np.argsort(p, kind="stable")
+    tol = 4.0 * np.spacing(p)
+    out, idx = np.empty_like(p), np.arange(p.size)
     taken = taken_before = np.full(p.size, np.inf)  # the last two steps
     for _ in range(100):
-        lo, hi = np.where(f < 0, x, lo), np.where(f < 0, hi, x)
+        below = f < 0
+        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = np.where(np.isfinite(d) & (d > 0), -f / d, np.nan)
         nxt, mid = x + step, 0.5 * (lo + hi)
-        stop_here = (np.abs(f) <= 4.0 * np.spacing(p)) | (mid == lo) | (mid == hi)
-        done = stop_here | (np.abs(step) <= _QUANTILE_RTOL * np.abs(x) + _TINY)
-        bad = done & (np.abs(f) > _QUANTILE_MISS)
-        if bad.any():
-            raise FamilyError(f"quantile: the doubles near {x[bad][0]:.17g} are too "
-                              f"coarse for the law; F misses p by {np.abs(f[bad]).max():.3g}")
-        out[idx[done]] = np.where(stop_here, x, np.clip(nxt, lo, hi))[done]
-        keep = ~done
-        if not keep.any():
-            # CDF noise of a few ulp can swap the roots of p a few ulp apart
-            out[order] = np.maximum.accumulate(out[order])
-            return out
+        abs_f, abs_step = np.abs(f), np.abs(step)
+        stop_here = (abs_f <= tol) | (mid == lo) | (mid == hi)
+        done = stop_here | (abs_step <= _QUANTILE_RTOL * np.abs(x) + _TINY)
+        if np.count_nonzero(done):
+            bad = done & (abs_f > _QUANTILE_MISS)
+            if np.count_nonzero(bad):
+                raise FamilyError(f"quantile: the doubles near {x[bad][0]:.17g} are too "
+                                  f"coarse for the law; F misses p by {abs_f[bad].max():.3g}")
+            end, keep = np.flatnonzero(done), np.flatnonzero(~done)
+            out[idx[end]] = np.where(stop_here, x, np.clip(nxt, lo, hi))[end]
+            if not keep.size:
+                # CDF noise of a few ulp can swap the roots of p a few ulp apart
+                return np.maximum.accumulate(out)[back]
+            x, lo, hi, p, tol, idx = x[keep], lo[keep], hi[keep], p[keep], tol[keep], idx[keep]
+            nxt, mid, abs_step = nxt[keep], mid[keep], abs_step[keep]
+            taken, taken_before = taken[keep], taken_before[keep]
         # a Newton step must land inside the bracket and be at most half the
         # step two iterations back, which breaks Newton's two-cycles
-        newton = (nxt > lo) & (nxt < hi) & (np.abs(step) <= 0.5 * np.abs(taken_before))
+        newton = (nxt > lo) & (nxt < hi) & (abs_step <= 0.5 * np.abs(taken_before))
         nxt = np.where(newton, nxt, mid)
-        taken, taken_before = (nxt - x)[keep], taken[keep]
-        x, lo, hi, p, idx = nxt[keep], lo[keep], hi[keep], p[keep], idx[keep]
-        f = np.asarray(cdf(x), dtype=float) - p
-        d = np.asarray(density(x), dtype=float)
-        if not np.all(np.isfinite(f)):
+        taken, taken_before = nxt - x, taken
+        x = nxt
+        f, d = cdf_density(x)
+        f = np.asarray(f, dtype=float) - p
+        d = np.asarray(d, dtype=float)
+        if np.count_nonzero(np.isfinite(f)) < f.size:
             raise FamilyError("quantile: the CDF is not finite inside the bracket")
     raise FamilyError(f"quantile: {idx.size} points did not converge in 100 steps")
 
@@ -279,7 +314,8 @@ class Uniform(UnivariateFamily, spec="uniform"):
 
 class _SymmetricLocationScale(UnivariateFamily):
     """mu + sigma * Z for a law Z symmetric about 0, given by ``std_density``
-    and ``std_cdf``; unimodal unless a subclass says otherwise."""
+    and ``std_cdf``, and by ``std_cdf_density`` where the two share work;
+    unimodal unless a subclass says otherwise."""
 
     symmetric = True
     unimodal = True
@@ -295,10 +331,18 @@ class _SymmetricLocationScale(UnivariateFamily):
         with np.errstate(over="ignore"):
             return self.std_cdf((x - self.mu) / self.sigma)
 
+    def _cdf_density(self, x):
+        with np.errstate(over="ignore"):
+            cdf, density = self.std_cdf_density((x - self.mu) / self.sigma)
+            return cdf, density / self.sigma
+
+    def std_cdf_density(self, z):
+        return self.std_cdf(z), self.std_density(z)
+
     def _quantile_impl(self, p):
         # only the lower half is solved: 1 - p is exact for p > 1/2, and the
         # lower tail of a CDF keeps the relative precision 1 - F loses near 1
-        z = _solve_quantile(self.std_cdf, self.std_density, np.minimum(p, 1.0 - p), self.support)
+        z = _solve_quantile(self.std_cdf_density, np.minimum(p, 1.0 - p), self.support)
         return self.mu + self.sigma * np.where(p > 0.5, -z, z)
 
 
@@ -346,6 +390,15 @@ class Elliptical(_SymmetricLocationScale, spec="elliptical"):
         if self._is_cauchy():
             return np.arctan2(1.0, -z) / np.pi
         return special.stdtr(2.0 * law.a, z * math.sqrt(law.a / law.b))
+
+    def std_cdf_density(self, z):
+        if self.law.kind == "inverse_gamma":
+            return super().std_cdf_density(z)
+        cdf = density = 0  # summed as std_cdf and std_density sum them
+        for p, s in self._scales:
+            u = z / s
+            cdf, density = cdf + p * special.ndtr(u), density + p * _norm_pdf(u) / s
+        return cdf, density
 
     def _quantile_impl(self, p):
         law = self.law
@@ -520,6 +573,13 @@ class MixtureFamily(UnivariateFamily, spec="mixture"):
 
     def _cdf(self, x):
         return sum(w * c.cdf(x) for w, c in zip(self.probs, self.components))
+
+    def _cdf_density(self, x):
+        cdf = density = 0  # summed as _cdf and _density sum them
+        for w, c in zip(self.probs, self.components):
+            c_cdf, c_density = c._cdf_density(x)
+            cdf, density = cdf + w * c_cdf, density + w * c_density
+        return cdf, density
 
     def _per_component(self, rng, count, draw: str):
         # count draws, each from the method ``draw`` of a component drawn by weight
@@ -697,7 +757,8 @@ class KotzType(_SymmetricLocationScale, spec="kotz"):
     def _quantile_impl(self, p):
         y = 2.0 * p - 1.0
         g = special.gammaincinv(self._s, np.abs(y))
-        mag = (g / self.m) ** (1.0 / (2.0 * self.beta))
+        with np.errstate(over="ignore"):  # inf for an extreme beta, which discretize refuses
+            mag = (g / self.m) ** (1.0 / (2.0 * self.beta))
         return self.mu + self.sigma * np.sign(y) * mag
 
     def sample_with(self, rng, count):
@@ -735,18 +796,25 @@ class SkewNormal(UnivariateFamily, spec="skew_normal"):
         delta = self.lam / math.sqrt(1.0 + self.lam * self.lam)
         return self.mu + self.sigma * delta * math.sqrt(2.0 / math.pi)
 
+    # z, z^2 and lam z overflow to +-inf far out, where phi(z) is 0 and the
+    # CDF 0 or 1: one guard for all, on a path that evaluates them many times
+    def _density_at(self, z):
+        # at lam = 0, Phi(0) = 1/2 also at |z| = inf, where lam z would be NaN
+        skew = special.ndtr(self.lam * z) if self.lam else 0.5
+        return 2.0 / self.sigma * (np.exp(-z**2 / 2.0) / _SQRT_2PI) * skew
+
     def _density(self, x):
-        # z, z^2 and lam z overflow to +-inf far out, where phi(z) is 0: one
-        # guard for all, on a path that evaluates densities many times
         with np.errstate(over="ignore"):
-            z = (x - self.mu) / self.sigma
-            # at lam = 0, Phi(0) = 1/2 also at |z| = inf, where lam z would be NaN
-            skew = special.ndtr(self.lam * z) if self.lam else 0.5
-            return 2.0 / self.sigma * (np.exp(-z**2 / 2.0) / _SQRT_2PI) * skew
+            return self._density_at((x - self.mu) / self.sigma)
 
     def _cdf(self, x):
-        with np.errstate(over="ignore"):  # z = +-inf far out, where the CDF is 0 or 1
+        with np.errstate(over="ignore"):
             return _sn_std_cdf((x - self.mu) / self.sigma, self.lam)
+
+    def _cdf_density(self, x):
+        with np.errstate(over="ignore"):
+            z = (x - self.mu) / self.sigma
+            return _sn_std_cdf(z, self.lam), self._density_at(z)
 
     def sample_with(self, rng, count):
         delta = self.lam / math.sqrt(1.0 + self.lam * self.lam)
@@ -900,25 +968,37 @@ class SlashElliptical(_SymmetricLocationScale, spec="slash_elliptical"):
             return math.exp(log_c) * r**-k
         return (math.exp(log_c / k) / r) ** k  # c > 1 only for k >= 1
 
-    def _h(self, r, e=0):
-        """r^e H(r): H for the density (e = 0), r H for the CDF (e = 1)."""
+    def _h(self, r, powers):
+        """[r^e H(r) for e in ``powers``]: H for the density (e = 0), r H for
+        the CDF (e = 1), from one evaluation of H.  The far tail's power form
+        takes each r^e H on its own, as r times H there may underflow."""
         law = self.law
         if law.kind == "inverse_gamma":
             k = math.sqrt(law.a / law.b)
             h = k * _t_slash_h(2.0 * law.a, self.q, k * r)
-            return np.where(r < np.inf, r, 0.0) * h if e else h  # r H(r) -> 0
+            return [np.where(r < np.inf, r, 0.0) * h if e else h for e in powers]  # r H(r) -> 0
         tail = r >= self._r_tail
-        near, far = np.where(tail, 0.0, r), np.where(tail, r, np.inf)
+        near, far = np.where(tail, 0.0, r), r[tail]
         h = sum(p * self._kummer(near / s) / s for p, s in self._scales)
-        far_h = sum(p * self._kummer_tail(far / s, e) / s ** (1 - e) for p, s in self._scales)
-        return np.where(tail, far_h, near * h if e else h)
+        out = [np.array(near * h if e else h) for e in powers]  # copies, also of a scalar
+        for v, e in zip(out, powers):
+            v[tail] = sum(p * self._kummer_tail(far / s, e) / s ** (1 - e) for p, s in self._scales)
+        return out
 
     def std_density(self, z):
-        return self.q * self._h(np.abs(z))
+        return self.q * self._h(np.abs(z), [0])[0]
 
     def std_cdf(self, z):
         r = np.abs(z)
-        lower = self._base.std_cdf(-r) + self._h(r, 1)
+        return self._cdf_from(z, r, self._h(r, [1])[0])
+
+    def std_cdf_density(self, z):
+        r = np.abs(z)
+        h, rh = self._h(r, [0, 1])
+        return self._cdf_from(z, r, rh), self.q * h
+
+    def _cdf_from(self, z, r, rh):
+        lower = self._base.std_cdf(-r) + rh  # F(-r) = F_Z(-r) + r H(r)
         return np.where(z > 0, 1.0 - lower, lower)
 
     def sample_with(self, rng, count):

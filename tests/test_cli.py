@@ -581,6 +581,19 @@ def test_malformed_family_spec_exits_usage(tmp_path, capsys, command, name):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_kotz_quantile_overflow_exits_usage_without_a_warning(tmp_path, capsys):
+    # (g/m)^(1/(2 beta)) overflows for beta = 1e-297: the grid is refused,
+    # and numpy's overflow warning is not printed on the way
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"families": [
+        {"family": "kotz", "N": 1e8, "m": 0.5, "beta": 1e-297},
+        {"family": "kotz", "N": 2.0, "m": 0.5, "beta": 1.0},
+    ]}))
+    code, out, err = run(capsys, "oracle", "--config", str(cfg))
+    assert code == EXIT_USAGE
+    assert out == "" and "infinite quantile" in err and "Warning" not in err
+
+
 _HUGE_SCALE = {"kind": "discrete_mixture", "atoms": [[1.0, 1e200]]}
 _WIDE_COLUMN = {"family": "uniform", "lo": 0.0, "hi": 1e308}
 # a mirror-image pair is symmetric but not unimodal

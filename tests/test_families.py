@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from jointmix.families import _FAMILIES as _FAMILY_CLASSES
 from jointmix.families import (
     BimodalMoment,
     BimodalPower,
@@ -469,6 +470,23 @@ def test_invalid_inputs():
         Uniform(0, 1).quantile(1.5)
     with pytest.raises(FamilyError):
         LocationScaleSymmetric(SkewNormal(0, 1, 2.0), 0.0, 1.0)
+
+
+# the first instance of each family class with a spec name
+_ONE_PER_CLASS = {type(f): f for f in reversed(FAMILIES)}
+
+
+def test_one_instance_per_spec_class():
+    assert set(_ONE_PER_CLASS) == set(_FAMILY_CLASSES.values())
+
+
+@pytest.mark.parametrize("fam", _ONE_PER_CLASS.values(), ids=lambda f: type(f).__name__)
+def test_quantile_refuses_nan(fam):
+    # NaN passed p <= 0 or p >= 1: most laws returned NaN, the skew-normal
+    # solver said that the CDF does not bracket
+    for p in (math.nan, [0.5, math.nan], np.array([math.nan, 0.25])):
+        with pytest.raises(FamilyError, match=r"p in \(0,1\)"):
+            fam.quantile(p)
 
 
 @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-1.7e308, 1.7e308), (1.0, 1.0), (2.0, 1.0),

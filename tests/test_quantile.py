@@ -183,11 +183,10 @@ class _BrokenCdf(UnivariateFamily):
     def __init__(self, nan_from):
         self.nan_from = nan_from
 
-    def density(self, x):
-        return special.expit(x) * special.expit(-np.asarray(x, dtype=float))
+    def _density(self, x):
+        return special.expit(x) * special.expit(-x)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _cdf(self, x):
         return np.where(np.abs(x - 0.5) < self.nan_from, special.expit(x), np.nan)
 
 
@@ -210,8 +209,8 @@ def test_law_narrower_than_the_doubles_raises_family_error():
 def test_unbracketable_probability_raises_family_error():
     # a CDF that never reaches 1: the ladder runs to overflow and gives up
     class Short(_BrokenCdf):
-        def cdf(self, x):
-            return 0.9 * special.expit(np.asarray(x, dtype=float))
+        def _cdf(self, x):
+            return 0.9 * special.expit(x)
 
     with pytest.raises(FamilyError):
         Short(0.0).quantile([0.5, 0.95])
@@ -355,6 +354,29 @@ def test_slash_kummer_far_tail_matches_mpmath(q, atoms):
         for g, want in zip(got, ref):
             if want >= 1e-290:
                 assert abs(g / want - 1) <= 1e-12
+
+
+def test_slash_solver_step_evaluates_kummer_once(monkeypatch):
+    # each solver step needs F and f at the same points, and both come from
+    # one H: one hyp1f1 per step, where a CDF call and a density call took two.
+    # F_Z(-r), the normal CDF in F, is evaluated once per step either way
+    fam = SlashElliptical(0.5, 1.5, NORMAL, 1.5)
+    calls = {"_kummer": 0, "std_cdf": 0}
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(SlashElliptical, "_kummer")
+    counted(Elliptical, "std_cdf")
+    fam.quantile(MIDPOINTS)
+    assert calls["std_cdf"] > 5
+    assert calls["_kummer"] == calls["std_cdf"]
 
 
 # --- Student t and Pearson VII quantiles -------------------------------------
