@@ -980,7 +980,7 @@ class SlashElliptical(_SymmetricLocationScale, spec="slash_elliptical"):
         tail = r >= self._r_tail
         near, far = np.where(tail, 0.0, r), r[tail]
         h = sum(p * self._kummer(near / s) / s for p, s in self._scales)
-        out = [np.array(near * h if e else h) for e in powers]  # copies, also of a scalar
+        out = [np.array(near * h if e else h) for e in powers]  # writable, 0-d for a scalar r
         for v, e in zip(out, powers):
             v[tail] = sum(p * self._kummer_tail(far / s, e) / s ** (1 - e) for p, s in self._scales)
         return out
