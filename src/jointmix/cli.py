@@ -440,6 +440,9 @@ def main(argv=None) -> int:
         # GeneratorError, ...): a usage error, never a verdict code
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:  # an output that cannot be written, such as one in a missing directory
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_IO
     except Exception:
         # a fault of the program: never Python's status 1, which is NotJM
         import traceback

@@ -50,10 +50,6 @@ class FamilyError(ValueError):
     pass
 
 
-def _as_array(x):
-    return np.asarray(x, dtype=float)
-
-
 def _norm_pdf(z):
     with np.errstate(over="ignore"):  # z^2 = inf past |z| ~ 1.3e154, where exp gives 0
         return np.exp(-z**2 / 2.0) / _SQRT_2PI
@@ -67,11 +63,11 @@ def _cauchy_ppf(p):
     return np.where(np.abs(d) <= 0.25, np.tan(np.pi * d), tail)
 
 
-def _scalar_like(x, out):
-    out = np.asarray(out)
-    if np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0):
-        return float(out.reshape(-1)[0]) if out.size == 1 else float(out)
-    return out
+def _evaluate(method, x):
+    """``method`` at x as a float array of at least one dimension; a float for a scalar x."""
+    x = np.asarray(x, dtype=float)
+    out = method(np.atleast_1d(x))
+    return out if x.ndim else float(out[0])
 
 
 def _finite(x, positive: str = "") -> float:
@@ -92,9 +88,11 @@ _FAMILIES: dict[str, type] = {}
 class UnivariateFamily:
     """Base interface; subclasses fill in the numerics.
 
-    ``density`` and ``cdf`` take scalars or arrays and return the same; the
-    array-only ``_density`` and ``_cdf`` behind them are what subclasses
-    write, and ``_cdf_density``, both at once, where the two share work.
+    ``density``, ``cdf`` and ``quantile`` take scalars or arrays and return
+    the same; a scalar is evaluated as a one-point array, so its value is bit
+    for bit the grid's.  Subclasses write the array methods behind them, which
+    the library calls directly: ``_density``, ``_cdf``, ``_quantile_impl``,
+    and ``_cdf_density``, both at once, where the two share work.
 
     A concrete family declares its spec name, ``class Uniform(
     UnivariateFamily, spec="uniform")``.  Its spec fields are then its
@@ -118,10 +116,10 @@ class UnivariateFamily:
             _FAMILIES[spec] = cls
 
     def density(self, x):
-        return _scalar_like(x, self._density(_as_array(x)))
+        return _evaluate(self._density, x)
 
     def cdf(self, x):
-        return _scalar_like(x, self._cdf(_as_array(x)))
+        return _evaluate(self._cdf, x)
 
     def _density(self, x: np.ndarray):
         raise NotImplementedError
@@ -135,10 +133,10 @@ class UnivariateFamily:
         return self._cdf(x), self._density(x)
 
     def quantile(self, p):
-        p_arr = _as_array(p)
-        if not np.all((p_arr > 0) & (p_arr < 1)):  # NaN fails too
+        p = np.asarray(p, dtype=float)
+        if not np.all((p > 0) & (p < 1)):  # NaN fails too
             raise FamilyError("quantile requires p in (0,1)")
-        return _scalar_like(p, self._quantile_impl(np.atleast_1d(p_arr)))
+        return _evaluate(self._quantile_impl, p)
 
     def _quantile_impl(self, p: np.ndarray) -> np.ndarray:
         return _solve_quantile(self._cdf_density, p, self.support)
@@ -203,7 +201,7 @@ def _solve_quantile(cdf_density, p, support):
     lo = lo_s if np.isfinite(lo_s) else min(hi_s, 0.0) - 1.0
     hi = hi_s if np.isfinite(hi_s) else max(lo, 0.0) + 1.0
     x0 = [lo, 0.5 * (lo + hi), hi]
-    ladder = list(zip(x0, *(np.asarray(v, dtype=float) for v in cdf_density(np.array(x0)))))
+    ladder = list(zip(x0, *cdf_density(np.array(x0))))
     while True:  # ladder: (x, F, f) in increasing x
         down = bool(np.isinf(lo_s) and ladder[0][1] > p_min)
         up = bool(np.isinf(hi_s) and ladder[-1][1] < p_max)
@@ -219,8 +217,7 @@ def _solve_quantile(cdf_density, p, support):
         if not rungs:
             break
         new = np.array([x for a, b in rungs for x in [a] * down + [b] * up])
-        f_new, d_new = (np.asarray(v, dtype=float).reshape(len(rungs), -1)
-                        for v in cdf_density(new))
+        f_new, d_new = (v.reshape(len(rungs), -1) for v in cdf_density(new))
         for (a, b), f, d in zip(rungs, f_new, d_new):
             if down:
                 ladder.insert(0, (a, f[0], d[0]))
@@ -270,8 +267,7 @@ def _solve_quantile(cdf_density, p, support):
         taken, taken_before = nxt - x, taken
         x = nxt
         f, d = cdf_density(x)
-        f = np.asarray(f, dtype=float) - p
-        d = np.asarray(d, dtype=float)
+        f = f - p
         if np.count_nonzero(np.isfinite(f)) < f.size:
             raise FamilyError("quantile: the CDF is not finite inside the bracket")
     raise FamilyError(f"quantile: {idx.size} points did not converge in 100 steps")
@@ -446,14 +442,13 @@ class LocationScaleSymmetric(_SymmetricLocationScale, spec="location_scale"):
         self.support = (self.mu + self.theta * (lo - c), self.mu + self.theta * (hi - c))
 
     def std_density(self, z):
-        return self.base.density(self.base.center + z)
+        return self.base._density(self.base.center + z)
 
     def std_cdf(self, z):
-        return self.base.cdf(self.base.center + z)
+        return self.base._cdf(self.base.center + z)
 
     def _quantile_impl(self, p):
-        q = np.asarray(self.base.quantile(p))
-        return self.mu + self.theta * (q - self.base.center)
+        return self.mu + self.theta * (self.base._quantile_impl(p) - self.base.center)
 
     def sample_with(self, rng, count):
         y = self.base.sample_with(rng, count)
@@ -569,10 +564,10 @@ class MixtureFamily(UnivariateFamily, spec="mixture"):
         self.symmetric = parts_symmetric or symmetric
 
     def _density(self, x):
-        return sum(w * c.density(x) for w, c in zip(self.probs, self.components))
+        return sum(w * c._density(x) for w, c in zip(self.probs, self.components))
 
     def _cdf(self, x):
-        return sum(w * c.cdf(x) for w, c in zip(self.probs, self.components))
+        return sum(w * c._cdf(x) for w, c in zip(self.probs, self.components))
 
     def _cdf_density(self, x):
         cdf = density = 0  # summed as _cdf and _density sum them
@@ -968,38 +963,34 @@ class SlashElliptical(_SymmetricLocationScale, spec="slash_elliptical"):
             return math.exp(log_c) * r**-k
         return (math.exp(log_c / k) / r) ** k  # c > 1 only for k >= 1
 
-    def _h(self, r, powers):
-        """[r^e H(r) for e in ``powers``]: H for the density (e = 0), r H for
-        the CDF (e = 1), from one evaluation of H.  The far tail's power form
-        takes each r^e H on its own, as r times H there may underflow."""
+    def _h(self, r):
+        """(H(r), r H(r)), H for the density and r H for the CDF, from one
+        evaluation of H.  The far tail's power form takes each on its own, as
+        r times H there may underflow."""
         law = self.law
         if law.kind == "inverse_gamma":
             k = math.sqrt(law.a / law.b)
             h = k * _t_slash_h(2.0 * law.a, self.q, k * r)
-            return [np.where(r < np.inf, r, 0.0) * h if e else h for e in powers]  # r H(r) -> 0
+            return h, np.where(r < np.inf, r, 0.0) * h  # r H(r) -> 0
         tail = r >= self._r_tail
         near, far = np.where(tail, 0.0, r), r[tail]
         h = sum(p * self._kummer(near / s) / s for p, s in self._scales)
-        out = [np.array(near * h if e else h) for e in powers]  # writable, 0-d for a scalar r
-        for v, e in zip(out, powers):
+        out = h, near * h
+        for v, e in zip(out, (0, 1)):
             v[tail] = sum(p * self._kummer_tail(far / s, e) / s ** (1 - e) for p, s in self._scales)
         return out
 
     def std_density(self, z):
-        return self.q * self._h(np.abs(z), [0])[0]
+        return self.q * self._h(np.abs(z))[0]
 
     def std_cdf(self, z):
-        r = np.abs(z)
-        return self._cdf_from(z, r, self._h(r, [1])[0])
+        return self.std_cdf_density(z)[0]
 
     def std_cdf_density(self, z):
         r = np.abs(z)
-        h, rh = self._h(r, [0, 1])
-        return self._cdf_from(z, r, rh), self.q * h
-
-    def _cdf_from(self, z, r, rh):
+        h, rh = self._h(r)
         lower = self._base.std_cdf(-r) + rh  # F(-r) = F_Z(-r) + r H(r)
-        return np.where(z > 0, 1.0 - lower, lower)
+        return np.where(z > 0, 1.0 - lower, lower), self.q * h
 
     def sample_with(self, rng, count):
         z = self._base.sample_with(rng, count)

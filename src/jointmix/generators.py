@@ -19,6 +19,7 @@ scale-inequality verdict, which needs neither, never loads them.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import math
 import operator
@@ -105,6 +106,10 @@ class CharacteristicGenerator:
         k = self.kind
         if k not in _KIND_FIELDS:
             raise GeneratorError(f"unknown generator kind {k!r}")
+        # spec() drops a field the kind does not have, while == compares it
+        if any(getattr(self, f.name) != f.default for f in dataclasses.fields(self)
+               if f.name not in ("kind", *_KIND_FIELDS[k])):
+            raise GeneratorError(f"a {k} generator has only the fields {['kind', *_KIND_FIELDS[k]]}")
         if k == "student_t" and not (self.nu is not None and self.nu > 0):
             raise GeneratorError("student_t needs nu > 0")
         if k == "pearson_vii":

@@ -286,6 +286,23 @@ def test_verify_missing_file(capsys):
     assert code == EXIT_IO
 
 
+_SMALL_RUNS = {
+    "sample": ["sample", "--sigmas", "1,1", "-N", "5"],
+    "explore": ["explore", "--n-grid", "2:3", "--lambda-grid", "0:1"],
+}
+
+
+@pytest.mark.parametrize("command", list(_SMALL_RUNS))
+@pytest.mark.parametrize("where", ["missing_directory", "a_directory"])
+def test_unwritable_output_is_an_io_failure(tmp_path, capsys, command, where):
+    # an output that cannot be opened exits 66 with one line, not 70 with a traceback
+    target = tmp_path / "missing" / "out.csv" if where == "missing_directory" else tmp_path
+    code, out, err = run(capsys, *_SMALL_RUNS[command], "-o", str(target))
+    assert code == EXIT_IO
+    assert out == "" and len(err.strip().splitlines()) == 1 and str(target) in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("setting", [("-C", "nan"), ("-C", "0", "--rel-tol", "inf")])
 def test_verify_refuses_bad_settings_before_reading(tmp_path, capsys, setting):
     # a usage error, not an I/O error, even where the file does not exist

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from jointmix import families
 from jointmix.families import _FAMILIES as _FAMILY_CLASSES
 from jointmix.families import (
     BimodalMoment,
@@ -170,6 +171,38 @@ def test_spec_round_trip(fam):
     assert np.array_equal(clone.density(xs), fam.density(xs))
     probs = (np.arange(99) + 0.5) / 99
     assert np.array_equal(clone.quantile(probs), fam.quantile(probs))
+
+
+class _Solver(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "fam", FAMILIES + [GeneralizedLogistic(3.0, 1.3)], ids=_IDS + ["GeneralizedLogistic-3-1.3"]
+)
+def test_a_point_is_evaluated_as_in_a_grid(fam, monkeypatch):
+    # a certificate reads F at single points and RA evidence reads grids: a
+    # scalar is evaluated as a one-point array, so the two agree bit for bit
+    lo, hi = fam.support
+    a = lo if np.isfinite(lo) else fam.center - 6.0
+    b = hi if np.isfinite(hi) else fam.center + 6.0
+    xs = np.linspace(a, b, 401)
+    for method in (fam.cdf, fam.density):
+        lone = [method(float(x)) for x in xs]
+        assert all(type(v) is float for v in lone)
+        assert np.array_equal(np.array(lone).view(np.int64), method(xs).view(np.int64))
+    # a solved quantile's ladder depends on the batch's extreme p: closed forms only
+    def solver(*args):
+        raise _Solver
+
+    monkeypatch.setattr(families, "_solve_quantile", solver)
+    ps = (np.arange(401) + 0.5) / 401
+    try:
+        grid = fam.quantile(ps)
+    except _Solver:
+        return
+    lone = [fam.quantile(float(p)) for p in ps]
+    assert np.array_equal(np.array(lone).view(np.int64), grid.view(np.int64))
 
 
 def test_sample_deterministic_per_seed():

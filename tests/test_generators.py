@@ -106,6 +106,25 @@ def test_bad_parameters_rejected():
 
 
 @pytest.mark.parametrize(
+    "kind, own, stray",
+    [
+        ("normal", {}, {"nu": 5.0}),
+        ("cauchy", {}, {"atoms": ((1.0, 1.0),)}),
+        ("student_t", {"nu": 3.0}, {"shape": 2.0, "scale": 1.0}),
+        ("student_t", {"nu": 3.0}, {"scale": math.nan}),
+        ("pearson_vii", {"shape": 2.0, "scale": 1.0}, {"nu": 3.0}),
+        ("discrete_mixture", {"atoms": ((1.0, 1.0),)}, {"nu": 1.0}),
+    ],
+)
+def test_fields_the_kind_does_not_have_are_refused(kind, own, stray):
+    # spec() drops such a field while == compares it, so the two would disagree
+    g = CharacteristicGenerator(kind, **own)
+    assert CharacteristicGenerator.from_spec(g.spec()) == g
+    with pytest.raises(GeneratorError, match=re.escape(f"has only the fields {['kind', *own]}")):
+        CharacteristicGenerator(kind, **own, **stray)
+
+
+@pytest.mark.parametrize(
     "atoms, message",
     [
         ([], "a finite law needs at least one atom"),
